@@ -25,13 +25,15 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/transport/...
 	$(GO) test -race ./internal/group/... ./internal/pedersen/...
 
-# Short fuzz passes: the parallel multiexp against the sequential one
-# (the differential harness's randomized arm) and the scenario-plan
+# Short fuzz passes: the parallel and sequential multiexp against the
+# math/big oracle (the differential harness's randomized arm), the limb
+# field against math/big mod p on both primes, and the scenario-plan
 # parser (never panics; String∘Parse is a fixpoint). CI runs these as
 # smoke tests; let them run longer locally with FUZZTIME.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMultiExpParallel -fuzztime $(FUZZTIME) ./internal/group
+	$(GO) test -fuzz=FuzzFieldOracle -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime $(FUZZTIME) ./internal/scenario
 
 # Fault-injection suite under the race detector: the resilience layer's

@@ -183,24 +183,26 @@ func BenchmarkFig3Commit(b *testing.B) {
 }
 
 // BenchmarkMultiExp ablates the multi-exponentiation strategies the paper
-// cites as future optimization work ([27, 28]).
+// cites as future optimization work ([27, 28]) over quantized-gradient
+// scalars on secp256k1 (EXPERIMENTS.md E5).
 func BenchmarkMultiExp(b *testing.B) {
 	curve := group.Secp256k1()
 	field := scalar.NewField(curve.N)
-	const n = 1024
-	vec := fig3Vector(b, field, n)
-	points := make([]group.Point, n)
-	for i := range points {
-		points[i] = curve.HashToPoint("bench-multiexp", i)
-	}
-	for _, s := range []group.MultiExpStrategy{group.StrategyNaive, group.StrategyWindowed, group.StrategyPippenger} {
-		b.Run(s.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := curve.MultiScalarMult(points, vec, s); err != nil {
-					b.Fatal(err)
+	for _, n := range []int{64, 256, 1024, 4096} {
+		vec := fig3Vector(b, field, n)
+		points := make([]group.Point, n)
+		for i := range points {
+			points[i] = curve.HashToPoint("bench-multiexp", i)
+		}
+		for _, s := range []group.MultiExpStrategy{group.StrategyNaive, group.StrategyWindowed, group.StrategyPippenger, group.StrategyParallel} {
+			b.Run(fmt.Sprintf("%s/n=%d", s, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := curve.MultiScalarMult(points, vec, s); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -72,7 +72,7 @@ func registerTaskFlags(fs *flag.FlagSet) *taskFlags {
 	fs.IntVar(&tf.providers, "providers", 0, "providers per aggregator (shared)")
 	fs.BoolVar(&tf.verifiable, "verifiable", false, "verifiable aggregation (shared)")
 	fs.BoolVar(&tf.signed, "signed", false, "authenticate participants with Ed25519-signed records (shared)")
-	fs.StringVar(&tf.curve, "curve", "secp256r1-fast", "commitment curve (shared)")
+	fs.StringVar(&tf.curve, "curve", "secp256r1-fast", "commitment curve (shared): secp256k1, secp256r1 or secp256r1-fast (P-256 under its default generator name; all share one backend)")
 	fs.IntVar(&tf.rounds, "rounds", 5, "FL rounds (shared)")
 	fs.Int64Var(&tf.seed, "seed", 7, "dataset seed (shared)")
 	fs.Float64Var(&tf.lr, "lr", 0.2, "SGD learning rate (shared)")

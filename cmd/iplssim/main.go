@@ -46,7 +46,7 @@ func run(args []string) error {
 		providers   = fs.Int("providers", 2, "providers per aggregator (0 = no merge-and-download)")
 		rounds      = fs.Int("rounds", 10, "FL rounds")
 		verifiable  = fs.Bool("verifiable", false, "enable Pedersen-commitment verification")
-		curve       = fs.String("curve", "secp256r1-fast", "commitment curve")
+		curve       = fs.String("curve", "secp256r1-fast", "commitment curve: secp256k1, secp256r1 or secp256r1-fast (P-256 under its default generator name; all share one backend)")
 		split       = fs.String("split", "iid", "data split: iid | non-iid")
 		modelKind   = fs.String("model", "logistic", "model: logistic | mlp")
 		malicious   = fs.String("malicious", "", "inject behavior on agg-p0-0: drop-gradient | alter-gradient | forge-update | dropout")

@@ -49,7 +49,8 @@ type TaskSpec struct {
 	// Verifiable enables Pedersen-commitment verification (§IV).
 	Verifiable bool
 	// Curve names the commitment curve (see group.ByName). Empty means
-	// secp256r1-fast.
+	// secp256r1-fast: P-256 under the name its generators are hashed
+	// from, on the same limb backend as every other curve.
 	Curve string
 	// QuantShift is the fixed-point fractional bit count (0 = default).
 	QuantShift uint

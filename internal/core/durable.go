@@ -87,7 +87,7 @@ func OpenDurableStack(cfg *Config, opts DurableOptions) (*DurableStack, error) {
 	// Assignments are config, not state: (re)apply so a config change
 	// between runs takes effect and a fresh boot starts assigned.
 	cfg.ApplyAssignments(dir)
-	sess, err := NewSession(cfg, net, dir)
+	sess, err := newSession(cfg, net, dir, params)
 	if err != nil {
 		net.Close()
 		return nil, err

@@ -137,12 +137,19 @@ func (c *Config) ApplyAssignments(s *directory.Service) {
 
 // NewSession creates a protocol session.
 func NewSession(cfg *Config, store storage.Client, dir Directory) (*Session, error) {
-	field := scalar.NewField(cfg.Curve.N)
-	quant, err := scalar.NewQuantizer(field, cfg.QuantShift)
+	params, err := cfg.PedersenParams()
 	if err != nil {
 		return nil, err
 	}
-	params, err := cfg.PedersenParams()
+	return newSession(cfg, store, dir, params)
+}
+
+// newSession creates a session over already-derived commitment
+// parameters, so a caller that shares them with a directory derives the
+// generators and their tables once.
+func newSession(cfg *Config, store storage.Client, dir Directory, params *pedersen.Params) (*Session, error) {
+	field := scalar.NewField(cfg.Curve.N)
+	quant, err := scalar.NewQuantizer(field, cfg.QuantShift)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +169,8 @@ func NewSession(cfg *Config, store storage.Client, dir Directory) (*Session, err
 // NewLocalStack wires a complete in-memory deployment: a storage network
 // with the configured nodes, a directory service (with assignments and
 // commitment parameters applied) and a session over them. replicas is the
-// storage replication factor.
+// storage replication factor. The directory and the session share one set
+// of commitment parameters.
 func NewLocalStack(cfg *Config, replicas int) (*Session, *storage.Network, *directory.Service, error) {
 	field := scalar.NewField(cfg.Curve.N)
 	net := storage.NewNetwork(field, replicas)
@@ -175,7 +183,7 @@ func NewLocalStack(cfg *Config, replicas int) (*Session, *storage.Network, *dire
 	}
 	dir := directory.New(params, net)
 	cfg.ApplyAssignments(dir)
-	sess, err := NewSession(cfg, net, dir)
+	sess, err := newSession(cfg, net, dir, params)
 	if err != nil {
 		return nil, nil, nil, err
 	}

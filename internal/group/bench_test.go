@@ -103,3 +103,22 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkField measures the limb field's Montgomery multiply and
+// inversion, the units every curve operation above is built from.
+func BenchmarkField(b *testing.B) {
+	for _, c := range oracleCurves() {
+		x := c.f.fromBig(benchScalar(b, c))
+		y := c.f.fromBig(c.Gx)
+		b.Run("mul/"+c.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.f.mul(&x, &x, &y)
+			}
+		})
+		b.Run("inv/"+c.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.f.inv(&x, &x)
+			}
+		})
+	}
+}

@@ -17,13 +17,17 @@ func explicitStrategies() []MultiExpStrategy {
 	}
 }
 
+// oracleCurves are the two primes the limb backend must agree with the
+// math/big oracle on (secp256r1-fast is the same prime as secp256r1).
+func oracleCurves() []*Curve { return []*Curve{Secp256k1(), Secp256r1()} }
+
 // TestMultiExpDifferential is the strategy-equivalence suite: every
-// concrete strategy must produce the identical point on the same seeded
-// random inputs, across sizes that hit each auto-selection band (and the
-// Pippenger tiny-input fallthrough), on both generic curves.
+// concrete strategy, and auto, must produce the math/big oracle's point on
+// the same seeded random inputs, across sizes that hit each auto-selection
+// band (and the Pippenger tiny-input fallthrough), on both primes.
 func TestMultiExpDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9001))
-	for _, c := range []*Curve{Secp256k1(), Secp256r1()} {
+	for _, c := range oracleCurves() {
 		for _, n := range []int{0, 1, 2, 33, 257} {
 			points, scalars := randomInputs(rng, c, n)
 			if n == 0 {
@@ -35,28 +39,18 @@ func TestMultiExpDifferential(t *testing.T) {
 				}
 				continue
 			}
-			want, err := c.MultiScalarMult(points, scalars, StrategyNaive)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracle{c}.multiExp(points, scalars)
 			if !c.IsOnCurve(want) {
-				t.Fatalf("%s n=%d: naive result off-curve", c.Name, n)
+				t.Fatalf("%s n=%d: oracle result off-curve", c.Name, n)
 			}
-			for _, s := range explicitStrategies()[1:] {
+			for _, s := range append(explicitStrategies(), StrategyAuto) {
 				got, err := c.MultiScalarMult(points, scalars, s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !got.Equal(want) {
-					t.Errorf("%s n=%d: %v disagrees with naive", c.Name, n, s)
+					t.Errorf("%s n=%d: %v disagrees with the oracle", c.Name, n, s)
 				}
-			}
-			got, err := c.MultiScalarMult(points, scalars, StrategyAuto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%s n=%d: auto disagrees with naive", c.Name, n)
 			}
 		}
 	}
@@ -64,71 +58,79 @@ func TestMultiExpDifferential(t *testing.T) {
 
 // TestMultiExpEdgeScalars pins the scalar edge cases on every strategy:
 // zero (skipped digits), one (raw base), order−1 (signed recoding flips the
-// base), and mixtures thereof alongside random scalars.
+// base), values outside [0, order) (reduction at the boundary) and
+// mixtures thereof alongside random scalars.
 func TestMultiExpEdgeScalars(t *testing.T) {
 	rng := rand.New(rand.NewSource(9002))
-	c := Secp256k1()
-	orderMinus1 := new(big.Int).Sub(c.N, big.NewInt(1))
-	edges := []*big.Int{big.NewInt(0), big.NewInt(1), orderMinus1}
+	for _, c := range oracleCurves() {
+		orderMinus1 := new(big.Int).Sub(c.N, big.NewInt(1))
+		halfOrder := new(big.Int).Rsh(c.N, 1)
+		edges := []*big.Int{
+			big.NewInt(0), big.NewInt(1), orderMinus1, halfOrder,
+			new(big.Int).Add(halfOrder, big.NewInt(1)), new(big.Int).Set(c.N),
+			big.NewInt(-5), new(big.Int).Lsh(big.NewInt(1), 300),
+		}
 
-	cases := [][]*big.Int{
-		{big.NewInt(0)},
-		{big.NewInt(1)},
-		{orderMinus1},
-		{big.NewInt(0), big.NewInt(1), orderMinus1},
-	}
-	// A longer mixed vector: edges interleaved with random scalars so the
-	// bucket and table paths see both extremes in one pass.
-	mixed := make([]*big.Int, 33)
-	for i := range mixed {
-		if i%4 == 3 {
-			mixed[i] = edges[i%len(edges)]
-		} else {
-			mixed[i] = randScalar(rng, c)
+		cases := [][]*big.Int{
+			{big.NewInt(0)},
+			{big.NewInt(1)},
+			{orderMinus1},
+			{big.NewInt(0), big.NewInt(1), orderMinus1},
+			edges,
 		}
-	}
-	cases = append(cases, mixed)
-
-	for ci, scalars := range cases {
-		points := make([]Point, len(scalars))
-		for i := range points {
-			points[i] = c.ScalarBaseMult(randScalar(rng, c))
-		}
-		want, err := c.MultiScalarMult(points, scalars, StrategyNaive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range explicitStrategies()[1:] {
-			got, err := c.MultiScalarMult(points, scalars, s)
-			if err != nil {
-				t.Fatal(err)
+		// A longer mixed vector: edges interleaved with random scalars so the
+		// bucket and table paths see both extremes in one pass.
+		mixed := make([]*big.Int, 33)
+		for i := range mixed {
+			if i%4 == 3 {
+				mixed[i] = edges[i%len(edges)]
+			} else {
+				mixed[i] = randScalar(rng, c)
 			}
-			if !got.Equal(want) {
-				t.Errorf("case %d: %v disagrees with naive", ci, s)
+		}
+		cases = append(cases, mixed)
+
+		for ci, scalars := range cases {
+			points := make([]Point, len(scalars))
+			for i := range points {
+				points[i] = c.ScalarBaseMult(randScalar(rng, c))
+			}
+			want := oracle{c}.multiExp(points, scalars)
+			for _, s := range explicitStrategies() {
+				got, err := c.MultiScalarMult(points, scalars, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s case %d: %v disagrees with the oracle", c.Name, ci, s)
+				}
 			}
 		}
 	}
 }
 
 // TestMultiExpInfinityBases checks that identity bases contribute nothing
-// on every strategy (the precomputed table of infinity is all-infinity).
+// on every strategy (the precomputed table of infinity is all-infinity),
+// and that a base repeated with equal or opposite scalars — the
+// doubling and cancellation branches of the additions — matches the
+// oracle.
 func TestMultiExpInfinityBases(t *testing.T) {
 	rng := rand.New(rand.NewSource(9003))
-	c := Secp256r1()
-	points, scalars := randomInputs(rng, c, 7)
-	points[0] = Infinity()
-	points[4] = Infinity()
-	want, err := c.MultiScalarMult(points, scalars, StrategyNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range explicitStrategies()[1:] {
-		got, err := c.MultiScalarMult(points, scalars, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("%v disagrees with naive on infinity bases", s)
+	for _, c := range oracleCurves() {
+		points, scalars := randomInputs(rng, c, 9)
+		points[0] = Infinity()
+		points[4] = Infinity()
+		points[6], scalars[6] = points[5], scalars[5]
+		points[8], scalars[8] = points[7], new(big.Int).Sub(c.N, scalars[7])
+		want := oracle{c}.multiExp(points, scalars)
+		for _, s := range explicitStrategies() {
+			got, err := c.MultiScalarMult(points, scalars, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s: %v disagrees with the oracle on infinity/repeated bases", c.Name, s)
+			}
 		}
 	}
 }
@@ -168,12 +170,16 @@ func TestAutoStrategySelection(t *testing.T) {
 		}
 	}
 
-	// Accelerated backend always resolves to naive.
-	fast := Secp256r1Fast()
-	for _, n := range []int{1, 64, 4096} {
-		if got := fast.autoStrategy(n); got != StrategyNaive {
-			t.Errorf("fast autoStrategy(%d) = %v, want naive", n, got)
+	// Every curve name routes alike: there is one backend.
+	for _, other := range []*Curve{Secp256r1(), Secp256r1Fast()} {
+		prevOther := other.Parallelism()
+		other.SetParallelism(4)
+		for _, tc := range cases {
+			if got := other.autoStrategy(tc.n); got != tc.want {
+				t.Errorf("%s autoStrategy(%d) = %v, want %v", other.Name, tc.n, got, tc.want)
+			}
 		}
+		other.SetParallelism(prevOther)
 	}
 }
 

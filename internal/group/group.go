@@ -2,15 +2,17 @@
 // Weierstrass form (y² = x³ + ax + b over GF(p)) with the two curves the
 // paper evaluates: secp256k1 and secp256r1 (NIST P-256).
 //
-// The generic implementation uses Jacobian coordinates over math/big, which
-// mirrors the paper's "rather straight-forward" Bouncy Castle usage. An
-// additional stdlib-accelerated secp256r1 variant (Secp256r1Fast) shows the
-// headroom available from optimized curve arithmetic, one of the future-work
-// directions the paper identifies.
+// Both curves run on one pure-Go backend: a 4×64-bit limb field in
+// Montgomery form with a generic reduction (field.go), Jacobian
+// coordinates for the variable-time multiexp strategies (jacobian.go) and
+// complete projective formulas for the constant-time ScalarMult
+// (ctmult.go). Faster curve arithmetic and multi-exponentiation are the
+// future-work directions the paper identifies for its dominant cost,
+// commitment computation. math/big appears only at the API boundary
+// (Point coordinates and scalars), in hash-to-point and in decoding.
 package group
 
 import (
-	"crypto/elliptic"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -48,7 +50,9 @@ func (p Point) Clone() Point {
 }
 
 // Curve describes a short Weierstrass curve y² = x³ + ax + b over GF(P) with
-// a base point (Gx, Gy) of prime order N.
+// a base point (Gx, Gy) of prime order N. Obtain curves from Secp256k1,
+// Secp256r1, Secp256r1Fast or ByName: the constructors derive the limb
+// backend's constants, so a Curve literal is not usable.
 type Curve struct {
 	Name string
 	P    *big.Int // field prime
@@ -58,7 +62,15 @@ type Curve struct {
 	Gx   *big.Int // base point x
 	Gy   *big.Int // base point y
 
-	fast elliptic.Curve // optional stdlib-backed arithmetic
+	// Limb-backend constants, derived once by the constructors: the
+	// field, the doubling/complete-addition shape (a = 0 or a = −3),
+	// b and 3b in Montgomery form, and the order and half-order as
+	// scalar limbs for signed recoding.
+	f      *field
+	aZero  bool
+	b, b3  fe
+	nLimbs scalarLimbs
+	halfN  scalarLimbs
 
 	// par bounds StrategyParallel worker goroutines (0 = GOMAXPROCS).
 	// Atomic because the constructors return shared singletons and the
@@ -72,19 +84,20 @@ const EncodedSize = 65
 
 var (
 	secp256k1  = newSecp256k1()
-	secp256r1  = newSecp256r1(false)
-	secp256r1F = newSecp256r1(true)
+	secp256r1  = newSecp256r1("secp256r1")
+	secp256r1F = newSecp256r1("secp256r1-fast")
 )
 
 // Secp256k1 returns the secp256k1 curve (a=0, b=7), as used by Bitcoin.
 func Secp256k1() *Curve { return secp256k1 }
 
-// Secp256r1 returns the NIST P-256 curve with generic big.Int arithmetic,
-// matching the paper's unoptimized implementation.
+// Secp256r1 returns the NIST P-256 curve (a = −3).
 func Secp256r1() *Curve { return secp256r1 }
 
-// Secp256r1Fast returns NIST P-256 backed by crypto/elliptic's optimized
-// constant-time arithmetic.
+// Secp256r1Fast returns NIST P-256 under the name "secp256r1-fast". It is
+// the same curve with the same arithmetic as Secp256r1; the name survives
+// because HashToPoint hashes it into every generator, so existing
+// commitments and snapshots keep their encodings.
 func Secp256r1Fast() *Curve { return secp256r1F }
 
 // ByName resolves a curve by its canonical name.
@@ -103,7 +116,7 @@ func ByName(name string) (*Curve, error) {
 
 func newSecp256k1() *Curve {
 	hexInt := mustHex
-	return &Curve{
+	return newCurve(&Curve{
 		Name: "secp256k1",
 		P:    hexInt("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"),
 		N:    hexInt("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"),
@@ -111,26 +124,38 @@ func newSecp256k1() *Curve {
 		B:    big.NewInt(7),
 		Gx:   hexInt("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"),
 		Gy:   hexInt("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"),
-	}
+	})
 }
 
-func newSecp256r1(fast bool) *Curve {
-	std := elliptic.P256()
-	params := std.Params()
-	a := new(big.Int).Sub(params.P, big.NewInt(3)) // a = -3 mod p
-	c := &Curve{
-		Name: "secp256r1",
-		P:    params.P,
-		N:    params.N,
-		A:    a,
-		B:    params.B,
-		Gx:   params.Gx,
-		Gy:   params.Gy,
+func newSecp256r1(name string) *Curve {
+	hexInt := mustHex
+	return newCurve(&Curve{
+		Name: name,
+		P:    hexInt("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"),
+		N:    hexInt("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"),
+		A:    hexInt("ffffffff00000001000000000000000000000000fffffffffffffffffffffffc"), // −3 mod p
+		B:    hexInt("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b"),
+		Gx:   hexInt("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"),
+		Gy:   hexInt("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5"),
+	})
+}
+
+// newCurve derives the limb-backend constants of c. Only a = 0 and
+// a = −3 are supported: the doubling and complete-addition formulas are
+// specialised to those two shapes.
+func newCurve(c *Curve) *Curve {
+	c.f = newField(c.P)
+	switch {
+	case c.A.Sign() == 0:
+		c.aZero = true
+	case new(big.Int).Add(c.A, big.NewInt(3)).Cmp(c.P) != 0:
+		panic("group: unsupported curve coefficient a for " + c.Name)
 	}
-	if fast {
-		c.Name = "secp256r1-fast"
-		c.fast = std
-	}
+	c.b = c.f.fromBig(c.B)
+	c.f.add(&c.b3, &c.b, &c.b)
+	c.f.add(&c.b3, &c.b3, &c.b)
+	c.nLimbs = scalarLimbs(limbsOf(c.N))
+	c.halfN = scalarLimbs(limbsOf(new(big.Int).Rsh(c.N, 1)))
 	return c
 }
 
@@ -176,13 +201,8 @@ func (c *Curve) Add(p, q Point) Point {
 	if q.IsInfinity() {
 		return p.Clone()
 	}
-	if c.fast != nil {
-		x, y := c.fast.Add(p.X, p.Y, q.X, q.Y)
-		return fromStd(x, y)
-	}
-	jp := toJacobian(p)
-	jq := toJacobian(q)
-	return c.fromJacobian(c.jacAdd(jp, jq))
+	qa := c.toAffine(q)
+	return c.fromJacobian(c.jacAddMixed(c.toJacobian(p), &qa))
 }
 
 // Neg returns -p.
@@ -198,44 +218,19 @@ func (c *Curve) Double(p Point) Point {
 	if p.IsInfinity() {
 		return Point{}
 	}
-	if c.fast != nil {
-		x, y := c.fast.Double(p.X, p.Y)
-		return fromStd(x, y)
-	}
-	return c.fromJacobian(c.jacDouble(toJacobian(p)))
+	return c.fromJacobian(c.jacDouble(c.toJacobian(p)))
 }
 
 // ScalarMult returns k·p. The scalar is reduced modulo the group order.
+// The multiplication is constant-time in the reduced scalar (see
+// ctmult.go), so k may be secret.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
-	kr := new(big.Int).Mod(k, c.N)
-	if kr.Sign() == 0 || p.IsInfinity() {
-		return Point{}
-	}
-	if c.fast != nil {
-		x, y := c.fast.ScalarMult(p.X, p.Y, kr.Bytes())
-		return fromStd(x, y)
-	}
-	return c.fromJacobian(c.jacScalarMult(toJacobian(p), kr))
+	return c.ctScalarMult(p, k)
 }
 
-// ScalarBaseMult returns k·G.
+// ScalarBaseMult returns k·G, constant-time in the reduced scalar.
 func (c *Curve) ScalarBaseMult(k *big.Int) Point {
-	if c.fast != nil {
-		kr := new(big.Int).Mod(k, c.N)
-		if kr.Sign() == 0 {
-			return Point{}
-		}
-		x, y := c.fast.ScalarBaseMult(kr.Bytes())
-		return fromStd(x, y)
-	}
-	return c.ScalarMult(c.Generator(), k)
-}
-
-func fromStd(x, y *big.Int) Point {
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return Point{}
-	}
-	return Point{X: x, Y: y}
+	return c.ctScalarMult(c.Generator(), k)
 }
 
 // Encode serializes a point as a 65-byte uncompressed encoding. The identity
@@ -316,22 +311,25 @@ func (c *Curve) HashToPoint(label string, index int) Point {
 	}
 }
 
-// solveY returns a square root of x³ + ax + b mod p if one exists. Both
-// supported primes satisfy p ≡ 3 (mod 4), so the root is t^((p+1)/4).
+// solveY returns a square root of x³ + ax + b mod p if one exists, for
+// x in [0, p). Both supported primes satisfy p ≡ 3 (mod 4), so the root
+// is t^((p+1)/4).
 func (c *Curve) solveY(x *big.Int) (*big.Int, bool) {
-	t := new(big.Int).Mul(x, x)
-	t.Mul(t, x)
-	ax := new(big.Int).Mul(c.A, x)
-	t.Add(t, ax)
-	t.Add(t, c.B)
-	t.Mod(t, c.P)
-	exp := new(big.Int).Add(c.P, big.NewInt(1))
-	exp.Rsh(exp, 2)
-	y := new(big.Int).Exp(t, exp, c.P)
-	check := new(big.Int).Mul(y, y)
-	check.Mod(check, c.P)
-	if check.Cmp(t) != 0 {
+	f := c.f
+	xm := f.fromBig(x)
+	var t, y, check fe
+	f.sqr(&t, &xm)
+	f.mul(&t, &t, &xm)
+	if !c.aZero { // a = −3
+		f.sub(&t, &t, &xm)
+		f.sub(&t, &t, &xm)
+		f.sub(&t, &t, &xm)
+	}
+	f.add(&t, &t, &c.b)
+	f.exp(&y, &t, &f.sqr4)
+	f.sqr(&check, &y)
+	if check != t {
 		return nil, false
 	}
-	return y, true
+	return f.toBig(&y), true
 }

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"crypto/elliptic"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -144,27 +145,71 @@ func TestIdentityLaws(t *testing.T) {
 	}
 }
 
-// TestGenericMatchesFastBackend cross-checks our generic Jacobian arithmetic
-// against crypto/elliptic on the shared curve secp256r1.
-func TestGenericMatchesFastBackend(t *testing.T) {
-	generic := Secp256r1()
-	fast := Secp256r1Fast()
+// TestLimbMatchesCryptoElliptic cross-checks the limb backend against the
+// standard library's independent P-256 implementation on both P-256 curve
+// names: scalar base mult, scalar mult, add and double.
+func TestLimbMatchesCryptoElliptic(t *testing.T) {
+	std := elliptic.P256()
 	rng := rand.New(rand.NewSource(16))
-	for i := 0; i < 10; i++ {
-		k := randScalar(rng, generic)
-		pg := generic.ScalarBaseMult(k)
-		pf := fast.ScalarBaseMult(k)
-		if !pg.Equal(pf) {
-			t.Fatalf("scalar base mult mismatch for k=%v", k)
+	for _, c := range []*Curve{Secp256r1(), Secp256r1Fast()} {
+		for i := 0; i < 10; i++ {
+			k := randScalar(rng, c)
+			p := c.ScalarBaseMult(k)
+			x, y := std.ScalarBaseMult(k.Bytes())
+			if p.X.Cmp(x) != 0 || p.Y.Cmp(y) != 0 {
+				t.Fatalf("%s: scalar base mult mismatch for k=%x", c.Name, k)
+			}
+			k2 := randScalar(rng, c)
+			q := c.ScalarMult(p, k2)
+			qx, qy := std.ScalarMult(x, y, k2.Bytes())
+			if q.X.Cmp(qx) != 0 || q.Y.Cmp(qy) != 0 {
+				t.Fatalf("%s: scalar mult mismatch", c.Name)
+			}
+			sum := c.Add(p, q)
+			sx, sy := std.Add(x, y, qx, qy)
+			if sum.X.Cmp(sx) != 0 || sum.Y.Cmp(sy) != 0 {
+				t.Fatalf("%s: add mismatch", c.Name)
+			}
+			dbl := c.Double(p)
+			dx, dy := std.Double(x, y)
+			if dbl.X.Cmp(dx) != 0 || dbl.Y.Cmp(dy) != 0 {
+				t.Fatalf("%s: double mismatch", c.Name)
+			}
 		}
-		k2 := randScalar(rng, generic)
-		qg := generic.ScalarMult(pg, k2)
-		qf := fast.ScalarMult(pf, k2)
-		if !qg.Equal(qf) {
-			t.Fatalf("scalar mult mismatch")
+	}
+}
+
+// TestScalarMultMatchesOracle checks the constant-time ladder against the
+// math/big oracle on both primes, including the scalars whose reduction
+// or top nibbles are special: 0, 1, 15, 16, N−1, N, N+1, negatives and
+// values wider than 256 bits.
+func TestScalarMultMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, c := range oracleCurves() {
+		o := oracle{c}
+		scalars := []*big.Int{
+			big.NewInt(0), big.NewInt(1), big.NewInt(15), big.NewInt(16),
+			new(big.Int).Sub(c.N, big.NewInt(1)), new(big.Int).Set(c.N),
+			new(big.Int).Add(c.N, big.NewInt(1)), big.NewInt(-3),
+			new(big.Int).Lsh(big.NewInt(0xff), 300),
 		}
-		if !generic.Add(pg, qg).Equal(fast.Add(pf, qf)) {
-			t.Fatalf("add mismatch")
+		for i := 0; i < 8; i++ {
+			scalars = append(scalars, randScalar(rng, c))
+		}
+		p := c.HashToPoint("ladder", 0)
+		for _, k := range scalars {
+			if got, want := c.ScalarMult(p, k), o.pointMul(p, k); !got.Equal(want) {
+				t.Errorf("%s: ScalarMult(k=%x) disagrees with the oracle", c.Name, k)
+			}
+			if got, want := c.ScalarBaseMult(k), o.pointMul(c.Generator(), k); !got.Equal(want) {
+				t.Errorf("%s: ScalarBaseMult(k=%x) disagrees with the oracle", c.Name, k)
+			}
+		}
+		q := c.HashToPoint("ladder", 1)
+		for _, pair := range [][2]Point{{p, q}, {p, p}, {p, c.Neg(p)}, {q, c.Double(q)}} {
+			if got, want := c.Add(pair[0], pair[1]), o.pointAdd(pair[0], pair[1]); !got.Equal(want) {
+				t.Errorf("%s: Add disagrees with the oracle", c.Name)
+			}
 		}
 	}
 }

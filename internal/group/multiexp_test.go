@@ -85,21 +85,28 @@ func TestMultiExpZeroScalars(t *testing.T) {
 	}
 }
 
+// TestMultiExpFastCurve checks that the secp256r1-fast name is the same
+// group on the same backend as secp256r1: every strategy, auto included,
+// returns the same point under both names.
 func TestMultiExpFastCurve(t *testing.T) {
 	fast := Secp256r1Fast()
 	generic := Secp256r1()
 	rng := rand.New(rand.NewSource(23))
-	points, scalars := randomInputs(rng, generic, 8)
-	want, err := generic.MultiScalarMult(points, scalars, StrategyPippenger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fast.MultiScalarMult(points, scalars, StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("fast backend disagrees with generic pippenger")
+	for _, n := range []int{3, 8, 130} {
+		points, scalars := randomInputs(rng, generic, n)
+		for _, s := range append(explicitStrategies(), StrategyAuto) {
+			want, err := generic.MultiScalarMult(points, scalars, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fast.MultiScalarMult(points, scalars, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("n=%d %v: secp256r1-fast disagrees with secp256r1", n, s)
+			}
+		}
 	}
 }
 

@@ -56,18 +56,14 @@ func (p *Params) CommitHiding(v []*big.Int, r *big.Int) (Commitment, error) {
 	if r == nil {
 		return nil, errors.New("pedersen: nil blinding factor")
 	}
-	gens := p.generators(len(v))
-	points := make([]group.Point, 0, len(v)+1)
-	scalars := make([]*big.Int, 0, len(v)+1)
-	points = append(points, p.BlindingGenerator())
-	scalars = append(scalars, r)
-	points = append(points, gens...)
-	scalars = append(scalars, v...)
-	point, err := p.curve.MultiScalarMult(points, scalars, group.StrategyAuto)
+	point, err := p.commitPoint(v, group.StrategyAuto)
 	if err != nil {
 		return nil, fmt.Errorf("pedersen: %w", err)
 	}
-	return Commitment(p.curve.Encode(point)), nil
+	// r is secret, so r·h takes the constant-time ScalarMult; only the
+	// public values go through the variable-time multiexp.
+	blind := p.curve.ScalarMult(p.BlindingGenerator(), r)
+	return Commitment(p.curve.Encode(p.curve.Add(blind, point))), nil
 }
 
 // VerifyOpening reports whether (o.Values, o.Blinding) opens c.

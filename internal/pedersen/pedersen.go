@@ -30,12 +30,12 @@ type Commitment []byte
 func (c Commitment) Equal(other Commitment) bool { return bytes.Equal(c, other) }
 
 // DefaultPrecomputeLimit bounds how many generators get fixed-base window
-// tables. Each table stores 15 Jacobian multiples (~2–3.6 KB with math/big
-// coordinates), so the default caps table memory at roughly 25 MB while
-// covering every realistic per-partition commitment width; the Fig. 3
-// sweep extends Params to millions of generators and must not drag table
-// memory along with it. Vectors longer than the covered prefix fall back
-// to the regular multiexp strategies.
+// tables. StrategyAuto reads tables only for vectors of at most
+// commitFixedMax elements, so Setup/Extend build min(limit,
+// commitFixedMax) of them (1 KiB each as affine limb points); the limit
+// matters for explicit StrategyPrecomputed requests, which build missing
+// tables on demand. The Fig. 3 sweep extends Params to millions of
+// generators and must not drag table memory along with it.
 const DefaultPrecomputeLimit = 8192
 
 // Params holds the public parameters for committing to vectors of up to
@@ -50,8 +50,9 @@ type Params struct {
 	blinding group.Point // lazily derived hiding generator
 
 	// fixed holds fixed-base window tables for the generator prefix
-	// gens[:len(fixed)] (built in Setup/Extend — generators never change
-	// within a session, so the tables amortize across every Commit).
+	// gens[:len(fixed)] (built in Setup/Extend for the prefix StrategyAuto
+	// reads — generators never change within a session, so the tables
+	// amortize across every Commit).
 	// Guarded by mu; entries are immutable once appended, so a Commit
 	// that snapshots the slice under mu may use it lock-free afterwards.
 	fixed        []*group.FixedBase
@@ -96,10 +97,10 @@ func (p *Params) Len() int {
 }
 
 // SetPrecomputeLimit bounds how many generators carry fixed-base window
-// tables (default DefaultPrecomputeLimit). Raising the limit builds the
-// missing tables immediately for already-derived generators; n ≤ 0
-// disables precomputation for generators derived from then on. Safe to
-// call concurrently with Commit.
+// tables (default DefaultPrecomputeLimit; Setup/Extend never build past
+// commitFixedMax). Raising the limit builds the missing tables immediately
+// for already-derived generators; n ≤ 0 disables precomputation for
+// generators derived from then on. Safe to call concurrently with Commit.
 func (p *Params) SetPrecomputeLimit(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -136,17 +137,10 @@ func (p *Params) extendLocked(n int) {
 }
 
 // buildTablesLocked grows the fixed-base table prefix to cover min(n,
-// limit) generators. Accelerated curves skip tables entirely: their commit
-// path goes through the stdlib backend, which the generic Jacobian tables
-// cannot feed.
+// limit, commitFixedMax) generators: the prefix StrategyAuto can read.
+// Wider commits take Pippenger and never touch a table.
 func (p *Params) buildTablesLocked(n int) {
-	if p.curve.Accelerated() {
-		return
-	}
-	limit := p.precompLimit
-	if n > limit {
-		n = limit
-	}
+	n = min(n, p.precompLimit, commitFixedMax)
 	if n > len(p.gens) {
 		n = len(p.gens)
 	}
@@ -214,21 +208,7 @@ func (p *Params) CommitWith(v []*big.Int, strategy group.MultiExpStrategy) (Comm
 	pprof.Do(context.Background(), pprof.Labels("phase", "pedersen_commit"), func(context.Context) {
 		injectAlloc()
 		var point group.Point
-		switch {
-		case strategy == group.StrategyPrecomputed:
-			bases, _ := p.fixedPrefix(len(v), true)
-			point, err = p.curve.MultiScalarMultFixed(bases, v)
-		case strategy == group.StrategyAuto && !p.curve.Accelerated() && len(v) <= commitFixedMax:
-			if bases, ok := p.fixedPrefix(len(v), false); ok {
-				point, err = p.curve.MultiScalarMultFixed(bases, v)
-				break
-			}
-			fallthrough
-		default:
-			gens := p.generators(len(v))
-			point, err = p.curve.MultiScalarMult(gens, v, strategy)
-		}
-		if err == nil {
+		if point, err = p.commitPoint(v, strategy); err == nil {
 			out = Commitment(p.curve.Encode(point))
 		}
 	})
@@ -236,6 +216,22 @@ func (p *Params) CommitWith(v []*big.Int, strategy group.MultiExpStrategy) (Comm
 		return nil, fmt.Errorf("pedersen: %w", err)
 	}
 	return out, nil
+}
+
+// commitPoint evaluates ∑ vᵢ·hᵢ with the given strategy, routing
+// StrategyAuto through the fixed-base tables when they cover a short
+// vector.
+func (p *Params) commitPoint(v []*big.Int, strategy group.MultiExpStrategy) (group.Point, error) {
+	switch {
+	case strategy == group.StrategyPrecomputed:
+		bases, _ := p.fixedPrefix(len(v), true)
+		return p.curve.MultiScalarMultFixed(bases, v)
+	case strategy == group.StrategyAuto && len(v) <= commitFixedMax:
+		if bases, ok := p.fixedPrefix(len(v), false); ok {
+			return p.curve.MultiScalarMultFixed(bases, v)
+		}
+	}
+	return p.curve.MultiScalarMult(p.generators(len(v)), v, strategy)
 }
 
 // Verify reports whether C is the commitment to v, by recomputing the

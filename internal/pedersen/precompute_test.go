@@ -12,8 +12,7 @@ import (
 
 // TestPrecomputedMatchesNaive checks the fixed-base commit path (both the
 // auto route through the tables and an explicit StrategyPrecomputed
-// request) against the naive recommitment on generic and accelerated
-// curves.
+// request) against the naive recommitment on every curve name.
 func TestPrecomputedMatchesNaive(t *testing.T) {
 	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1(), group.Secp256r1Fast()} {
 		p, err := Setup(curve, 24, "precomp")
@@ -77,15 +76,35 @@ func TestPrecomputeLimit(t *testing.T) {
 	}
 }
 
-// TestPrecomputeSkipsAcceleratedCurves: the stdlib backend never reads the
-// generic Jacobian tables, so building them would be pure memory waste.
-func TestPrecomputeSkipsAcceleratedCurves(t *testing.T) {
-	p, err := Setup(group.Secp256r1Fast(), 16, "fast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.PrecomputedLen(); got != 0 {
-		t.Fatalf("accelerated curve built %d tables, want 0", got)
+// TestSetupTablesCoverAutoPrefix: Setup builds tables only for the
+// generator prefix StrategyAuto reads (commitFixedMax), on every curve
+// name; wider commits never touch a table, and an explicit
+// StrategyPrecomputed request still builds the missing ones on demand.
+func TestSetupTablesCoverAutoPrefix(t *testing.T) {
+	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1(), group.Secp256r1Fast()} {
+		p, err := Setup(curve, 2*commitFixedMax, "prefix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.PrecomputedLen(); got != commitFixedMax {
+			t.Fatalf("%s: Setup built %d tables, want %d", curve.Name, got, commitFixedMax)
+		}
+		q, _ := scalar.NewQuantizer(p.Field(), scalar.DefaultShift)
+		v := randomVector(rand.New(rand.NewSource(45)), q, commitFixedMax+4)
+		want, err := p.CommitWith(v, group.StrategyPippenger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.CommitWith(v, group.StrategyPrecomputed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: on-demand tables produced a different commitment", curve.Name)
+		}
+		if got := p.PrecomputedLen(); got != commitFixedMax+4 {
+			t.Fatalf("%s: StrategyPrecomputed left %d tables, want %d", curve.Name, got, commitFixedMax+4)
+		}
 	}
 }
 

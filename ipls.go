@@ -150,7 +150,8 @@ func NewStorageNetwork(curveName string, replicas int) (*StorageNetwork, error) 
 // valid: default commitment curve, replication factor 1, in-memory blocks.
 type StorageNetworkOptions struct {
 	// CurveName selects the commitment curve whose scalar field backs
-	// merge-and-download arithmetic ("" = secp256r1-fast).
+	// merge-and-download arithmetic ("" = secp256r1-fast, the default
+	// P-256 name; every curve runs on the same limb backend).
 	CurveName string
 	// Replicas is the replication factor (minimum 1).
 	Replicas int
