@@ -8,21 +8,18 @@ import (
 	"time"
 
 	"ipls/internal/core"
-	"ipls/internal/netsim"
 	"ipls/internal/obs"
 	"ipls/internal/scenario"
-	"ipls/internal/storage"
 )
 
-// mustLossWindows compiles a scenario-plan string into the netsim loss
-// windows it schedules — the gate's partition scenario is driven by the
-// same grammar `iplssim -scenario` takes.
-func mustLossWindows(plan string) []netsim.LossWindow {
+// mustPlan parses a gate scenario's plan string — the same grammar
+// `iplssim -scenario` takes.
+func mustPlan(plan string) *scenario.Plan {
 	p, err := scenario.Parse(plan)
 	if err != nil {
 		panic(err)
 	}
-	return p.LossWindows()
+	return p
 }
 
 // The per-phase benchmark gate: each scenario below runs one protocol
@@ -101,12 +98,8 @@ var gateScenarios = []struct {
 			StorageNodes:            8,
 			BandwidthMbps:           20,
 			FailoverTimeout:         2 * time.Second,
-			Churn: []storage.ChurnEvent{
-				{Kind: storage.ChurnDepart, Node: "ipfs-03"},
-				{Kind: storage.ChurnCrash, Node: "agg-p0-0"},
-				{Kind: storage.ChurnCrash, Node: "trainer-06"},
-				{Kind: storage.ChurnRejoin, Node: "trainer-07"},
-			},
+			Scenario: mustPlan(
+				"depart:ipfs-03@iter0,crash:agg-p0-0@iter0,crash:trainer-06@iter0,rejoin:trainer-07@iter0"),
 		},
 	},
 	{
@@ -134,7 +127,7 @@ var gateScenarios = []struct {
 		// A timed partition window compiled from the scenario grammar
 		// severs two storage nodes mid-iteration; uploads and merge
 		// downloads touching them stall and resume when the window closes.
-		// Exercises the LossWindow path end-to-end from a plan string.
+		// Exercises the timed-window path end-to-end from a plan string.
 		name: "partition",
 		cfg: core.SimConfig{
 			Trainers:                16,
@@ -144,7 +137,7 @@ var gateScenarios = []struct {
 			StorageNodes:            8,
 			BandwidthMbps:           20,
 			StorageBandwidthMbps:    200,
-			LinkLoss: mustLossWindows(
+			Scenario: mustPlan(
 				"partition:mainline|ipfs-02+ipfs-03@400ms..1200ms,slow:trainer-01@0s..800ms:0.25"),
 		},
 	},

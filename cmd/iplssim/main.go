@@ -57,8 +57,6 @@ func run(args []string) error {
 		gc          = fs.Bool("gc", false, "after each round, sweep blocks from superseded iterations by keep-set (retains the current round and the churn checkpoint DAG)")
 		screen      = fs.Float64("screen", 0, "drop trainer gradients with L2 norm above this bound (0 = off; incompatible with -verifiable)")
 		scenarioStr = fs.String("scenario", "", "composed fault scenario: comma-separated events over one grammar, e.g. depart:ipfs-03@iter2,crash:trainer-05@iter1,rejoin:trainer-05@iter3,slow:ipfs-00@iter1..2:50ms,flaky:ipfs-02@iter0:0.3,partition:mainline|ipfs-01+trainer-02@iter3..4,corrupt:trainer-01@iter2,late:trainer-03@iter1")
-		faults      = fs.String("faults", "", "alias for -scenario (legacy fault grammar is a subset); comma-appended to it")
-		churn       = fs.String("churn", "", "alias for -scenario (legacy churn grammar is a subset); comma-appended to it")
 		quorum      = fs.Float64("quorum", 0, "quorum fraction in (0,1): aggregators proceed with ceil(q*n) of n gradients after -quorum-wait (incompatible with -verifiable)")
 		quorumWait  = fs.Duration("quorum-wait", 200*time.Millisecond, "how long aggregators wait for stragglers before closing a quorum round")
 		minAccuracy = fs.Float64("min-accuracy", 0, "fail the run if the final model accuracy is below this bound (0 = off; the chaos-soak convergence gate)")
@@ -76,16 +74,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// -churn and -faults stay as aliases: their legacy grammars are
-	// subsets of the scenario grammar, so the three flags concatenate
-	// into one composed plan.
-	var parts []string
-	for _, s := range []string{*scenarioStr, *churn, *faults} {
-		if s != "" {
-			parts = append(parts, s)
-		}
-	}
-	splan, err := scenario.Parse(strings.Join(parts, ","))
+	splan, err := scenario.Parse(*scenarioStr)
 	if err != nil {
 		return err
 	}
@@ -202,18 +191,21 @@ func run(args []string) error {
 
 	var runner *core.ScenarioRunner
 	if !splan.Empty() || *quorum > 0 {
-		runner = core.NewScenarioRunner(task, net, splan)
+		runner, err = core.NewScenarioRunner(task, net, splan)
+		if err != nil {
+			return err
+		}
 		runner.SetQuorum(*quorum, *quorumWait)
-		runner.Churn().SetMetrics(reg)
+		runner.SetMetrics(reg)
 	}
 
-	var behaviors map[string]core.Behavior
+	var opts *core.RoundOptions
 	if *malicious != "" {
 		b, err := parseBehavior(*malicious)
 		if err != nil {
 			return err
 		}
-		behaviors = map[string]core.Behavior{core.AggregatorID(0, 0): b}
+		opts = &core.RoundOptions{Behaviors: map[string]core.Behavior{core.AggregatorID(0, 0): b}}
 		fmt.Printf("injecting %s on %s\n", b, core.AggregatorID(0, 0))
 	}
 
@@ -306,7 +298,7 @@ func run(args []string) error {
 				fmt.Printf("scenario round %d: %s\n", r, ev)
 			}
 		} else {
-			metrics, _, err = task.RunRound(context.Background(), behaviors)
+			metrics, _, err = task.RunRound(context.Background(), opts)
 		}
 		if r == 0 && *trace && recorder != nil {
 			fmt.Println("-- round 0 event timeline --")
@@ -335,7 +327,7 @@ func run(args []string) error {
 		if *gc {
 			opts := core.GCOptions{KeepIters: []int{r}}
 			if runner != nil {
-				if ref, ok := runner.Churn().Checkpoint(); ok {
+				if ref, ok := runner.Checkpoint(); ok {
 					opts.KeepRoots = []dag.Ref{ref}
 				}
 			}
@@ -367,7 +359,7 @@ func run(args []string) error {
 		fmt.Printf("byzantine: %d gradient(s) expunged, quarantined: %s\n",
 			stats.Expunged, strings.Join(banned, ", "))
 	}
-	if !splan.FaultPlan().Empty() {
+	if hasStorageFaults(splan) {
 		var retries, failovers int64
 		for _, op := range []string{"put", "get", "merge_get", "fetch", "publish", "publish_batch", "lookup", "update"} {
 			retries += reg.Counter("rpc_retries_total", "op", op).Value()
@@ -454,6 +446,17 @@ func run(args []string) error {
 		return fmt.Errorf("final accuracy %.3f below the -min-accuracy bound %.3f", finalAcc, *minAccuracy)
 	}
 	return nil
+}
+
+// hasStorageFaults reports whether the plan degrades storage nodes with
+// slow or flaky windows, the faults the resilience layer absorbs.
+func hasStorageFaults(p *scenario.Plan) bool {
+	for _, ev := range p.Events() {
+		if ev.Kind == scenario.Slow || ev.Kind == scenario.Flaky {
+			return true
+		}
+	}
+	return false
 }
 
 func parseBehavior(s string) (core.Behavior, error) {

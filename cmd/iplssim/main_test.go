@@ -61,6 +61,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Fatal("expected flag parse error")
 	}
+	// Timed windows only run on the simulator's virtual clock; a round
+	// runner cannot enact them, so the run must refuse instead of
+	// silently running fault-free.
+	if err := run([]string{"-rounds", "1", "-scenario", "slow:ipfs-00@0s..5s:0.1"}); err == nil ||
+		!strings.Contains(err.Error(), "slow:ipfs-00@0s..5s:0.1") {
+		t.Fatalf("timed-window scenario: %v, want an error naming the event", err)
+	}
 }
 
 // TestRunExportsTraceAndMetrics drives a simulated multi-node run and

@@ -68,7 +68,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	runner := ipls.NewScenarioRunner(task, net, plan)
+	runner, err := ipls.NewScenarioRunner(task, net, plan)
+	if err != nil {
+		return err
+	}
 	runner.SetQuorum(0.75, 50*time.Millisecond)
 
 	ctx := context.Background()

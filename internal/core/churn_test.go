@@ -2,13 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
-	"ipls/internal/ml"
 	"ipls/internal/obs"
-	"ipls/internal/storage"
 )
 
 func TestIterationWithAbsentTrainer(t *testing.T) {
@@ -99,72 +96,17 @@ func TestStandbyStaysQuietWhenPartitionHealthy(t *testing.T) {
 	}
 }
 
-// newChurnTask builds an ML task over named ipfs storage nodes with
-// replication, sized so churn leaves live capacity.
-func newChurnTask(t *testing.T) (*Task, *storage.Network, *ml.Dataset) {
-	t.Helper()
-	const trainers = 8
-	m := ml.NewLogistic(4, 4)
-	data := ml.Blobs(480, 4, 4, 0.8, 77)
-	names := make([]string, trainers)
-	for i := range names {
-		names[i] = fmt.Sprintf("t%d", i)
-	}
-	stores := make([]string, 6)
-	for i := range stores {
-		stores[i] = fmt.Sprintf("ipfs-%02d", i)
-	}
-	ts := TaskSpec{
-		TaskID:                  "churn-task",
-		ModelDim:                m.Dim(),
-		Partitions:              2,
-		Trainers:                names,
-		AggregatorsPerPartition: 1,
-		StorageNodes:            stores,
-		TTrain:                  400 * time.Millisecond,
-		TSync:                   5 * time.Second,
-		PollInterval:            time.Millisecond,
-	}
-	cfg, err := NewConfig(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, net, _, err := NewLocalStack(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.SetPlacement(storage.PlacementRendezvous)
-	splits, err := data.SplitIID(trainers, 78)
-	if err != nil {
-		t.Fatal(err)
-	}
-	locals := make(map[string]*ml.Dataset, trainers)
-	for i, name := range names {
-		locals[name] = splits[i]
-	}
-	sgd := ml.SGDConfig{LearningRate: 0.3, Epochs: 2, BatchSize: 16}
-	task, err := NewTask(sess, m, locals, sgd, m.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return task, net, data
-}
-
-// TestChurnRunnerEndToEnd is the issue's acceptance scenario: a
-// storage-node departure, an aggregator crash and a trainer crash+rejoin
-// across a multi-round run that still converges, with replication fully
-// repaired and the failover/repair counters nonzero.
-func TestChurnRunnerEndToEnd(t *testing.T) {
-	task, net, data := newChurnTask(t)
+// TestScenarioRunnerChurnEndToEnd is the membership-churn acceptance
+// scenario: a storage-node departure, an aggregator crash and a trainer
+// crash+rejoin across a multi-round run that still converges, with
+// replication fully repaired and the failover/repair counters nonzero.
+func TestScenarioRunnerChurnEndToEnd(t *testing.T) {
+	task, net, _, data := newScenarioTask(t, false, 0)
 	reg := obs.NewRegistry()
 	task.session.SetMetrics(reg)
 	net.SetMetrics(reg)
-	plan, err := storage.ParseChurnPlan(
+	runner := newRunner(t, task, net,
 		"depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:t5@iter1,rejoin:t5@iter2,rejoin:agg-p0-0@iter3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := NewChurnRunner(task, net, plan)
 	runner.SetMetrics(reg)
 
 	accStart, _, err := task.Evaluate(data)
@@ -226,25 +168,5 @@ func TestChurnRunnerEndToEnd(t *testing.T) {
 	}
 	if _, ok := runner.Checkpoint(); !ok {
 		t.Fatal("no checkpoint taken")
-	}
-}
-
-func TestChurnRunnerRejectsUnknownParticipant(t *testing.T) {
-	task, net, _ := newChurnTask(t)
-	plan, err := storage.ParseChurnPlan("crash:nobody@iter0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := NewChurnRunner(task, net, plan)
-	if _, _, _, err := runner.RunRound(context.Background()); err == nil {
-		t.Fatal("unknown participant must fail the round")
-	}
-	plan2, err := storage.ParseChurnPlan("depart:t3@iter0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner2 := NewChurnRunner(task, net, plan2)
-	if _, _, _, err := runner2.RunRound(context.Background()); err == nil {
-		t.Fatal("depart of a non-storage participant must fail")
 	}
 }

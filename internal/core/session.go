@@ -1272,8 +1272,9 @@ type IterationOptions struct {
 	// Quorum, in (0,1), lets aggregators close their gradient wait with
 	// ceil(Quorum·n) of the n expected gradients once QuorumWait has
 	// passed — a round degrades to m-of-n instead of idling out t_train
-	// on stragglers. Stragglers miss the round here; ChurnRunner folds
-	// their deltas into the next round with an age-discounted weight.
+	// on stragglers. Stragglers miss the round here; Task.RunRound folds
+	// late deltas (RoundOptions.Late) into the next applied round with an
+	// age-discounted weight.
 	// Quorum is invalid in verifiable mode: the directory's gradient-set
 	// closure gate holds global updates until every expected gradient
 	// arrived or t_train passed, which contradicts proceeding early.

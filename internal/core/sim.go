@@ -7,7 +7,7 @@ import (
 
 	"ipls/internal/netsim"
 	"ipls/internal/obs"
-	"ipls/internal/storage"
+	"ipls/internal/scenario"
 )
 
 // SimConfig parameterizes a virtual-time protocol run over the netsim
@@ -63,19 +63,19 @@ type SimConfig struct {
 	// QuorumWait is the virtual instant after which a quorum suffices;
 	// zero defaults to 1s.
 	QuorumWait time.Duration
-	// LinkLoss schedules capacity-degradation windows on simulated links
-	// (netsim.ParseLossWindow describes the textual form). Node names
-	// follow the simulation's own scheme: trainer-00, agg-p0-0, ipfs-00.
-	LinkLoss []netsim.LossWindow
-	// Churn applies membership events to the single simulated iteration
-	// (event iteration numbers are ignored). Departed or crashed storage
-	// nodes drop out of placement for the whole run, a crashed
-	// aggregator's role is executed by a live standby after
-	// FailoverTimeout, crashed trainers miss the iteration (their
-	// gradients count as missed), and a rejoining trainer first
-	// downloads the model checkpoint from storage before uploading.
-	// Node names follow the simulation's scheme above.
-	Churn []storage.ChurnEvent
+	// Scenario injects faults from a scenario plan (nil for none). Its
+	// timed windows (slow:NODE@D1..D2:FACTOR, partition:…@D1..D2) scale
+	// or sever simulated links over virtual time. Its membership events
+	// apply to the single simulated iteration (event iteration numbers
+	// are ignored): departed or crashed storage nodes drop out of
+	// placement for the whole run, a crashed aggregator's role is
+	// executed by a live standby after FailoverTimeout, crashed trainers
+	// miss the iteration (their gradients count as missed), and a
+	// rejoining trainer first downloads the model checkpoint from
+	// storage before uploading. Other iteration-window events have no
+	// single-iteration meaning and are rejected. Node names follow the
+	// simulation's own scheme: trainer-00, agg-p0-0, ipfs-00.
+	Scenario *scenario.Plan
 	// FailoverTimeout is how long (virtual time) a standby waits for a
 	// crashed aggregator before taking over; zero defaults to 1s.
 	FailoverTimeout time.Duration
@@ -205,7 +205,7 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	for i := 0; i < cfg.StorageNodes; i++ {
 		stores = append(stores, env.AddNode(fmt.Sprintf("ipfs-%02d", i), storeBw, storeBw))
 	}
-	for _, w := range cfg.LinkLoss {
+	for _, w := range cfg.Scenario.LossWindows() {
 		if err := env.ScheduleLinkLoss(w); err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"ipls/internal/netsim"
 	"ipls/internal/obs"
 )
 
@@ -360,9 +359,7 @@ func TestSimLinkLossDelaysIteration(t *testing.T) {
 	cfg := fig1Config(4)
 	// Sever a provider's links for two virtual seconds mid-iteration:
 	// merges through it stall, so the iteration must finish later.
-	cfg.LinkLoss = []netsim.LossWindow{
-		{Node: "ipfs-00", From: 500 * time.Millisecond, To: 2500 * time.Millisecond, Factor: 0},
-	}
+	cfg.Scenario = mustPlan(t, "partition:mainline|ipfs-00@500ms..2.5s")
 	degraded, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +379,7 @@ func TestSimLinkLossDelaysIteration(t *testing.T) {
 	if _, err := Simulate(SimConfig{
 		Trainers: 1, Partitions: 1, AggregatorsPerPartition: 1,
 		PartitionBytes: 1000, StorageNodes: 1, BandwidthMbps: 10,
-		LinkLoss: []netsim.LossWindow{{Node: "ghost", From: 0, To: time.Second, Factor: 0.5}},
+		Scenario: mustPlan(t, "slow:ghost@0s..1s:0.5"),
 	}); err == nil {
 		t.Fatal("unknown link-loss node accepted")
 	}

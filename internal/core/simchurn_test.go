@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ipls/internal/storage"
 )
 
 func churnSimConfig() SimConfig {
@@ -19,18 +17,9 @@ func churnSimConfig() SimConfig {
 	}
 }
 
-func simEvents(t *testing.T, plan string) []storage.ChurnEvent {
-	t.Helper()
-	p, err := storage.ParseChurnPlan(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p.Events()
-}
-
 func TestSimChurnDeterministic(t *testing.T) {
 	cfg := churnSimConfig()
-	cfg.Churn = simEvents(t,
+	cfg.Scenario = mustPlan(t,
 		"depart:ipfs-03@iter0,crash:agg-p0-0@iter0,crash:trainer-06@iter0,rejoin:trainer-07@iter0")
 	a, err := Simulate(cfg)
 	if err != nil {
@@ -63,7 +52,7 @@ func TestSimChurnTakeoverDelaysIteration(t *testing.T) {
 		t.Fatalf("healthy run reported churn: %+v", base)
 	}
 	cfg := churnSimConfig()
-	cfg.Churn = simEvents(t, "crash:agg-p0-0@iter0")
+	cfg.Scenario = mustPlan(t, "crash:agg-p0-0@iter0")
 	cfg.FailoverTimeout = 2 * time.Second
 	res, err := Simulate(cfg)
 	if err != nil {
@@ -84,7 +73,7 @@ func TestSimChurnTakeoverDelaysIteration(t *testing.T) {
 
 func TestSimChurnDepartRemapsPlacement(t *testing.T) {
 	cfg := churnSimConfig()
-	cfg.Churn = simEvents(t, "depart:ipfs-01@iter0,crash:ipfs-02@iter0")
+	cfg.Scenario = mustPlan(t, "depart:ipfs-01@iter0,crash:ipfs-02@iter0")
 	res, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +98,7 @@ func TestSimChurnValidation(t *testing.T) {
 		{plan: "depart:agg-p0-0@iter0", wantErr: "only crash"},
 		{plan: "crash:ipfs-09@iter0", wantErr: "unknown storage node"},
 		{plan: "crash:agg-p7-0@iter0", wantErr: "unknown aggregator"},
+		{plan: "slow:ipfs-00@iter0:1ms", wantErr: "not modeled"},
 		{
 			plan:    "depart:ipfs-00@iter0,depart:ipfs-01@iter0,depart:ipfs-02@iter0,depart:ipfs-03@iter0",
 			wantErr: "every storage node is down",
@@ -128,7 +118,7 @@ func TestSimChurnValidation(t *testing.T) {
 		if tc.mutate != nil {
 			tc.mutate(&cfg)
 		}
-		cfg.Churn = simEvents(t, tc.plan)
+		cfg.Scenario = mustPlan(t, tc.plan)
 		_, err := Simulate(cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Fatalf("plan %q: error %v, want substring %q", tc.plan, err, tc.wantErr)

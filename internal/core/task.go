@@ -179,18 +179,17 @@ type RoundOptions struct {
 	QuorumWait time.Duration
 }
 
-// RunRound executes one FL round with the given per-aggregator behaviors
-// (nil for all-honest). If the protocol blocks a malicious round, the
-// global model is left unchanged and Applied is false.
-func (t *Task) RunRound(ctx context.Context, behaviors map[string]Behavior) (RoundMetrics, *IterationResult, error) {
-	return t.RunRoundOpts(ctx, RoundOptions{Behaviors: behaviors})
-}
-
-// RunRoundOpts is RunRound under churn and faults: absent trainers skip
-// the round entirely, late trainers train but miss the upload window
-// (their deltas fold into the next applied round), and standby
-// aggregators watch their assigned partitions.
-func (t *Task) RunRoundOpts(ctx context.Context, opts RoundOptions) (RoundMetrics, *IterationResult, error) {
+// RunRound executes one FL round. opts (nil for an all-honest,
+// fault-free round) injects aggregator behaviors and churn: absent
+// trainers skip the round entirely, late trainers train but miss the
+// upload window (their deltas fold into the next applied round), and
+// standby aggregators watch their assigned partitions. If the protocol
+// blocks a malicious round, the global model is left unchanged and
+// Applied is false.
+func (t *Task) RunRound(ctx context.Context, opts *RoundOptions) (RoundMetrics, *IterationResult, error) {
+	if opts == nil {
+		opts = &RoundOptions{}
+	}
 	round := t.round
 	train := t.session.startSpan("train", "trainers", round, obs.SpanContext{})
 	deltas, loss, err := t.localDeltas(round, opts.Absent)

@@ -119,7 +119,7 @@ func TestTaskBlockedRoundDoesNotAdvanceModel(t *testing.T) {
 	before := task.Global()
 	evil := AggregatorID(0, 0)
 	metrics, res, err := task.RunRound(context.Background(),
-		map[string]Behavior{evil: BehaviorForgeUpdate})
+		&RoundOptions{Behaviors: map[string]Behavior{evil: BehaviorForgeUpdate}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"ipls/internal/netsim"
 	"ipls/internal/obs"
 )
 
@@ -136,7 +135,7 @@ func TestSimulateStragglerFiresAlerts(t *testing.T) {
 		BandwidthMbps:           100,
 		// trainer-00's links run at 1% capacity for the first minute:
 		// its 1 MiB upload takes ~100× longer than the fleet's.
-		LinkLoss: []netsim.LossWindow{{Node: "trainer-00", From: 0, To: time.Minute, Factor: 0.01}},
+		Scenario: mustPlan(t, "slow:trainer-00@0s..1m:0.01"),
 		Spans:    collector,
 		Watchdog: wd,
 	})
@@ -188,7 +187,7 @@ func TestSimulateStragglerFiresAlerts(t *testing.T) {
 	if _, err := Simulate(SimConfig{
 		Trainers: 12, Partitions: 1, AggregatorsPerPartition: 1,
 		StorageNodes: 4, PartitionBytes: 1 << 20, BandwidthMbps: 100,
-		LinkLoss: []netsim.LossWindow{{Node: "trainer-00", From: 0, To: time.Minute, Factor: 0.01}},
+		Scenario: mustPlan(t, "slow:trainer-00@0s..1m:0.01"),
 		Watchdog: wd2,
 	}); err != nil {
 		t.Fatal(err)

@@ -26,17 +26,22 @@ func TestResourceSampleSub(t *testing.T) {
 func TestRuntimeMeterMonotonicAlloc(t *testing.T) {
 	m := RuntimeMeter{}
 	before := m.Sample()
-	// Allocate something the compiler cannot elide.
+	// Allocate something the compiler cannot elide. The objects are above
+	// the runtime's 32 KiB large-object threshold: /gc/heap/allocs:bytes
+	// counts those as they are allocated, while small objects are only
+	// counted when their mcache span is refilled, which can leave the
+	// delta one object short.
+	const objSize = 64 << 10
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 4096))
+		sink = append(sink, make([]byte, objSize))
 	}
 	after := m.Sample()
 	if after.AllocBytes < before.AllocBytes {
 		t.Fatalf("alloc counter went backwards: %d -> %d", before.AllocBytes, after.AllocBytes)
 	}
-	if d := after.Sub(before); d.AllocBytes < 64*4096 {
-		t.Fatalf("alloc delta %d bytes, want >= %d", d.AllocBytes, 64*4096)
+	if d := after.Sub(before); d.AllocBytes < 64*objSize {
+		t.Fatalf("alloc delta %d bytes, want >= %d", d.AllocBytes, 64*objSize)
 	}
 	_ = sink
 	if after.CPUNanos < before.CPUNanos {

@@ -13,6 +13,7 @@ import (
 	"ipls/internal/obs"
 	"ipls/internal/resilience"
 	"ipls/internal/scalar"
+	"ipls/internal/scenario"
 	"ipls/internal/storage"
 )
 
@@ -129,20 +130,16 @@ func TestChaosTrainerRejoinRestoresFromCheckpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	task, netw, _ := newRejoinTask(t, reg)
 	netw.SetMetrics(reg)
-	faults, err := storage.ParseFaultPlan("crash:ipfs-04@iter1,recover:ipfs-04@iter3")
+	plan, err := scenario.Parse("crash:ipfs-04@iter1,rejoin:ipfs-04@iter3,crash:t5@iter1,rejoin:t5@iter2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn, err := storage.ParseChurnPlan("crash:t5@iter1,rejoin:t5@iter2")
+	runner, err := core.NewScenarioRunner(task, netw, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := core.NewChurnRunner(task, netw, churn)
 	runner.SetMetrics(reg)
 	for round := 0; round < rounds; round++ {
-		if _, err := faults.Apply(netw, round); err != nil {
-			t.Fatalf("round %d fault plan: %v", round, err)
-		}
 		metrics, res, applied, err := runner.RunRound(ctx)
 		if err != nil {
 			t.Fatalf("round %d (churn %v): %v", round, applied, err)

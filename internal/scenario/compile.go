@@ -1,67 +1,12 @@
 package scenario
 
-import (
-	"ipls/internal/netsim"
-	"ipls/internal/storage"
-)
+import "ipls/internal/netsim"
 
-// Compilation: a parsed plan splits into per-subsystem injectors. The
-// membership kinds become a storage.ChurnPlan (whose role events the
-// protocol layer handles), slow/flaky iteration windows become a
-// storage.FaultPlan with explicit open/close markers, timed windows
-// become netsim.LossWindows, and the protocol-level kinds (partition
-// over iterations, corrupt, late) are queried per round by
-// core.ScenarioRunner.
-
-// ChurnPlan compiles the membership events (depart/crash/rejoin).
-func (p *Plan) ChurnPlan() *storage.ChurnPlan {
-	if p == nil {
-		return storage.NewChurnPlan(nil)
-	}
-	var evs []storage.ChurnEvent
-	for _, ev := range p.events {
-		var kind storage.ChurnKind
-		switch ev.Kind {
-		case Depart:
-			kind = storage.ChurnDepart
-		case Crash:
-			kind = storage.ChurnCrash
-		case Rejoin:
-			kind = storage.ChurnRejoin
-		default:
-			continue
-		}
-		evs = append(evs, storage.ChurnEvent{Kind: kind, Node: ev.Node, Iter: ev.Window.FromIter})
-	}
-	return storage.NewChurnPlan(evs)
-}
-
-// FaultPlan compiles the iteration-window slow and flaky events into a
-// transient-fault schedule: the fault is injected at the window's first
-// iteration and cleared (zero delay / zero probability) at the
-// iteration after its last.
-func (p *Plan) FaultPlan() *storage.FaultPlan {
-	if p == nil {
-		return storage.NewFaultPlan(nil)
-	}
-	var evs []storage.FaultEvent
-	for _, ev := range p.events {
-		if ev.Window.Timed {
-			continue
-		}
-		switch ev.Kind {
-		case Slow:
-			evs = append(evs,
-				storage.FaultEvent{Kind: storage.FaultSlow, Node: ev.Node, Iter: ev.Window.FromIter, Delay: ev.Delay},
-				storage.FaultEvent{Kind: storage.FaultSlow, Node: ev.Node, Iter: ev.Window.ToIter + 1})
-		case Flaky:
-			evs = append(evs,
-				storage.FaultEvent{Kind: storage.FaultFlaky, Node: ev.Node, Iter: ev.Window.FromIter, Prob: ev.Prob},
-				storage.FaultEvent{Kind: storage.FaultFlaky, Node: ev.Node, Iter: ev.Window.ToIter + 1})
-		}
-	}
-	return storage.NewFaultPlan(evs)
-}
+// Queries over a parsed plan. Timed windows compile to
+// netsim.LossWindows for the discrete-event simulator; the
+// iteration-window partitions and the corrupt/late kinds are looked up
+// per round by core.ScenarioRunner, which enacts the membership and
+// slow/flaky events from Events directly.
 
 // LossWindows compiles the timed-window events for the discrete-event
 // simulator: a timed slow scales the node's links by its factor, and a

@@ -1,19 +1,18 @@
-// Package scenario is the composable fault-scenario engine: one grammar
-// subsuming the three injection surfaces that grew up separately —
-// storage membership churn (storage.ChurnPlan), transient storage faults
-// (storage.FaultPlan) and netsim link degradation (netsim.LossWindow) —
-// plus the protocol-level faults (Byzantine uploads, late trainers,
-// network partitions) that the graceful-degradation paths in core
-// exercise. A plan is a comma-separated event list:
+// Package scenario is the one fault-scenario grammar of the repository:
+// storage membership churn, transient storage faults, simulated link
+// degradation, network partitions and the protocol-level faults
+// (Byzantine uploads, late trainers) that the graceful-degradation
+// paths in core exercise. A plan is a comma-separated event list:
 //
 //	depart:ipfs-03@iter1,partition:trainer-00|ipfs-04@iter2..3,corrupt:trainer-01@iter2
 //
-// and compiles into per-subsystem injectors (ChurnPlan, FaultPlan,
-// LossWindows, PartitionWindows, CorruptAt/LateAt) that the storage
-// network, the discrete-event simulator and core.ScenarioRunner each
-// consume. Parse errors are positional (ParseError carries the byte
-// offset and offending token) and String renders the canonical form, so
-// Parse∘String is the identity on parsed plans.
+// Two consumers read a parsed Plan: core.ScenarioRunner enacts the
+// iteration-window events round by round on a real Task, and
+// core.Simulate turns the timed windows (LossWindows) and membership
+// events into one virtual-clock iteration. Parse errors are positional
+// (ParseError carries the byte offset and offending token) and String
+// renders the canonical form, so Parse∘String is the identity on parsed
+// plans.
 package scenario
 
 import (
@@ -27,10 +26,10 @@ import (
 type Kind string
 
 // Event kinds. Depart/Crash/Rejoin are the membership-churn kinds
-// (compiled into a storage.ChurnPlan and role events); Slow and Flaky
-// degrade individual nodes; Partition splits the network into isolated
-// groups for a window; Corrupt and Late are protocol-level trainer
-// faults handled by core's Byzantine and quorum paths.
+// (storage-node or role changes); Slow and Flaky degrade individual
+// nodes; Partition splits the network into isolated groups for a
+// window; Corrupt and Late are protocol-level trainer faults handled by
+// core's Byzantine and quorum paths.
 const (
 	Depart    Kind = "depart"
 	Crash     Kind = "crash"

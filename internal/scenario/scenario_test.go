@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ipls/internal/storage"
 )
 
 func mustParse(t *testing.T, s string) *Plan {
@@ -166,51 +164,6 @@ func TestStringRoundTrip(t *testing.T) {
 	// Aliases canonicalize: recover -> rejoin, skew -> late.
 	if got := mustParse(t, "recover:a@iter1,skew:b@iter2").String(); got != "rejoin:a@iter1,late:b@iter2" {
 		t.Fatalf("alias canonicalization: %q", got)
-	}
-}
-
-func TestCompileChurnPlan(t *testing.T) {
-	p := mustParse(t, "depart:ipfs-03@iter1,crash:trainer-01@iter1,rejoin:trainer-01@iter3,slow:ipfs-00@iter1:1ms")
-	cp := p.ChurnPlan()
-	if cp.Empty() {
-		t.Fatal("churn plan empty")
-	}
-	evs := cp.Events()
-	if len(evs) != 3 {
-		t.Fatalf("churn compiled %d events, want 3 (slow excluded)", len(evs))
-	}
-	want := []storage.ChurnEvent{
-		{Kind: storage.ChurnDepart, Node: "ipfs-03", Iter: 1},
-		{Kind: storage.ChurnCrash, Node: "trainer-01", Iter: 1},
-		{Kind: storage.ChurnRejoin, Node: "trainer-01", Iter: 3},
-	}
-	for i := range want {
-		if evs[i] != want[i] {
-			t.Fatalf("churn event %d = %+v, want %+v", i, evs[i], want[i])
-		}
-	}
-}
-
-func TestCompileFaultPlanOpensAndCloses(t *testing.T) {
-	p := mustParse(t, "slow:ipfs-00@iter1..2:5ms,flaky:ipfs-01@iter3:0.5,slow:trainer-01@1s..2s:0.25")
-	fp := p.FaultPlan()
-	if fp.Empty() {
-		t.Fatal("fault plan empty")
-	}
-	// Each iteration-window event compiles to an open marker and a close
-	// marker one past its last iteration; the timed slow is excluded.
-	evs := fp.Events()
-	if len(evs) != 4 {
-		t.Fatalf("fault plan compiled %d events, want 4", len(evs))
-	}
-	if evs[0].Iter != 1 || evs[0].Delay != 5*time.Millisecond {
-		t.Fatalf("open marker %+v", evs[0])
-	}
-	if evs[1].Iter != 3 || evs[1].Delay != 0 {
-		t.Fatalf("close marker %+v", evs[1])
-	}
-	if evs[2].Iter != 3 || evs[2].Prob != 0.5 || evs[3].Iter != 4 || evs[3].Prob != 0 {
-		t.Fatalf("flaky markers %+v %+v", evs[2], evs[3])
 	}
 }
 

@@ -256,14 +256,12 @@ func TestFacadeResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ipls.ParseFaultPlan("crash:s1@iter1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	deltas := map[string][]float64{"t0": make([]float64, 12), "t1": make([]float64, 12)}
 	for iter := 0; iter < 3; iter++ {
-		if _, err := plan.Apply(net, iter); err != nil {
-			t.Fatal(err)
+		if iter == 1 {
+			if err := net.Fail("s1"); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := sess.RunIteration(context.Background(), iter, deltas, nil); err != nil {
 			t.Fatalf("iteration %d with s1 down: %v", iter, err)
