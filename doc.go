@@ -23,9 +23,10 @@
 //
 // This package itself is the public API: a curated facade (ipls.go) over
 // the implementation — TaskSpec/Config/Session/Task for the protocol,
-// StorageNetwork/DirectoryService/ShardedDirectory for backends,
-// Server/Dial for TCP deployment, Simulate for the evaluation harness, and
-// the ML, identity, gossip-baseline and storage-market entry points.
+// StorageNetwork/DirectoryService for backends, Server/Dial for TCP
+// deployment, Simulate for the evaluation harness, and the ML and identity
+// entry points. The comparison baselines (blockchain FL, gossip learning)
+// and the §VI sharded directory are reached by cmd/iplsbench directly.
 //
 // Executables: cmd/iplsbench regenerates every figure of the paper's
 // evaluation, cmd/iplssim drives end-to-end FL jobs, and cmd/iplsd runs the

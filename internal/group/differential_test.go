@@ -139,10 +139,10 @@ func TestMultiExpInfinityBases(t *testing.T) {
 // parallelism-dependent switch to StrategyParallel.
 func TestAutoStrategySelection(t *testing.T) {
 	c := Secp256k1()
-	prev := c.Parallelism()
-	defer c.SetParallelism(prev)
+	prev := c.par.Load()
+	defer c.par.Store(prev)
 
-	c.SetParallelism(4)
+	c.par.Store(4)
 	cases := []struct {
 		n    int
 		want MultiExpStrategy
@@ -163,7 +163,7 @@ func TestAutoStrategySelection(t *testing.T) {
 	}
 
 	// One worker: auto must never pick the parallel path.
-	c.SetParallelism(1)
+	c.par.Store(1)
 	for _, n := range []int{parallelMinPoints, 4096} {
 		if got := c.autoStrategy(n); got != StrategyPippenger {
 			t.Errorf("autoStrategy(%d) with 1 worker = %v, want pippenger", n, got)
@@ -172,14 +172,14 @@ func TestAutoStrategySelection(t *testing.T) {
 
 	// Every curve name routes alike: there is one backend.
 	for _, other := range []*Curve{Secp256r1(), Secp256r1Fast()} {
-		prevOther := other.Parallelism()
-		other.SetParallelism(4)
+		prevOther := other.par.Load()
+		other.par.Store(4)
 		for _, tc := range cases {
 			if got := other.autoStrategy(tc.n); got != tc.want {
 				t.Errorf("%s autoStrategy(%d) = %v, want %v", other.Name, tc.n, got, tc.want)
 			}
 		}
-		other.SetParallelism(prevOther)
+		other.par.Store(prevOther)
 	}
 }
 
@@ -225,18 +225,15 @@ func TestPippengerWindowSizes(t *testing.T) {
 	}
 }
 
-// TestParallelismKnob exercises SetParallelism bounds and checks the
-// parallel path agrees with sequential Pippenger at several worker counts,
-// including more workers than windows.
+// TestParallelismKnob checks the worker count defaults to GOMAXPROCS and
+// that the parallel path agrees with sequential Pippenger at several
+// pinned worker counts, including more workers than windows.
 func TestParallelismKnob(t *testing.T) {
 	c := Secp256k1()
-	prev := c.Parallelism()
-	defer c.SetParallelism(prev)
+	prev := c.par.Load()
+	defer c.par.Store(prev)
 
-	c.SetParallelism(-5)
-	if got := c.Parallelism(); got != 0 {
-		t.Fatalf("negative parallelism should clamp to 0, got %d", got)
-	}
+	c.par.Store(0)
 	if got := c.workers(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default workers = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
@@ -248,7 +245,7 @@ func TestParallelismKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 64} {
-		c.SetParallelism(workers)
+		c.par.Store(int32(workers))
 		got, err := c.MultiScalarMult(points, scalars, StrategyParallel)
 		if err != nil {
 			t.Fatal(err)

@@ -3,13 +3,14 @@
 // paper evaluates: secp256k1 and secp256r1 (NIST P-256).
 //
 // Both curves run on one pure-Go backend: a 4×64-bit limb field in
-// Montgomery form with a generic reduction (field.go), Jacobian
-// coordinates for the variable-time multiexp strategies (jacobian.go) and
-// complete projective formulas for the constant-time ScalarMult
-// (ctmult.go). Faster curve arithmetic and multi-exponentiation are the
-// future-work directions the paper identifies for its dominant cost,
-// commitment computation. math/big appears only at the API boundary
-// (Point coordinates and scalars), in hash-to-point and in decoding.
+// Montgomery form with a generic reduction (field.go) and Jacobian
+// coordinates (jacobian.go). Every scalar multiplication is variable-time:
+// the protocol never multiplies by a secret scalar (commitments are over
+// quantized gradients, which travel in the clear). Faster curve
+// arithmetic and multi-exponentiation are the future-work directions the
+// paper identifies for its dominant cost, commitment computation. math/big
+// appears only at the API boundary (Point coordinates and scalars), in
+// hash-to-point and in decoding.
 package group
 
 import (
@@ -63,18 +64,18 @@ type Curve struct {
 	Gy   *big.Int // base point y
 
 	// Limb-backend constants, derived once by the constructors: the
-	// field, the doubling/complete-addition shape (a = 0 or a = −3),
-	// b and 3b in Montgomery form, and the order and half-order as
-	// scalar limbs for signed recoding.
+	// field, the doubling shape (a = 0 or a = −3), b in Montgomery form,
+	// and the order and half-order as scalar limbs for signed recoding.
 	f      *field
 	aZero  bool
-	b, b3  fe
+	b      fe
 	nLimbs scalarLimbs
 	halfN  scalarLimbs
 
-	// par bounds StrategyParallel worker goroutines (0 = GOMAXPROCS).
-	// Atomic because the constructors return shared singletons and the
-	// knob may be flipped while multiexps are in flight.
+	// par overrides the StrategyParallel worker count when positive.
+	// Only in-package tests set it (the differential suite pins 1 and 4
+	// workers); zero means GOMAXPROCS. Atomic because the constructors
+	// return shared singletons.
 	par atomic.Int32
 }
 
@@ -141,8 +142,8 @@ func newSecp256r1(name string) *Curve {
 }
 
 // newCurve derives the limb-backend constants of c. Only a = 0 and
-// a = −3 are supported: the doubling and complete-addition formulas are
-// specialised to those two shapes.
+// a = −3 are supported: the doubling formulas are specialised to those
+// two shapes.
 func newCurve(c *Curve) *Curve {
 	c.f = newField(c.P)
 	switch {
@@ -152,8 +153,6 @@ func newCurve(c *Curve) *Curve {
 		panic("group: unsupported curve coefficient a for " + c.Name)
 	}
 	c.b = c.f.fromBig(c.B)
-	c.f.add(&c.b3, &c.b, &c.b)
-	c.f.add(&c.b3, &c.b3, &c.b)
 	c.nLimbs = scalarLimbs(limbsOf(c.N))
 	c.halfN = scalarLimbs(limbsOf(new(big.Int).Rsh(c.N, 1)))
 	return c
@@ -222,15 +221,17 @@ func (c *Curve) Double(p Point) Point {
 }
 
 // ScalarMult returns k·p. The scalar is reduced modulo the group order.
-// The multiplication is constant-time in the reduced scalar (see
-// ctmult.go), so k may be secret.
+// The 4-bit window walk skips zero digits and stops at the scalar's bit
+// length, so its running time depends on k: k must be public.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
-	return c.ctScalarMult(p, k)
+	kr := c.reduceScalar(k)
+	return c.fromJacobian(c.jacScalarMult(c.toAffine(p), &kr))
 }
 
-// ScalarBaseMult returns k·G, constant-time in the reduced scalar.
+// ScalarBaseMult returns k·G. Like ScalarMult it is variable-time, so k
+// must be public.
 func (c *Curve) ScalarBaseMult(k *big.Int) Point {
-	return c.ctScalarMult(c.Generator(), k)
+	return c.ScalarMult(c.Generator(), k)
 }
 
 // Encode serializes a point as a 65-byte uncompressed encoding. The identity

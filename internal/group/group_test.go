@@ -179,7 +179,7 @@ func TestLimbMatchesCryptoElliptic(t *testing.T) {
 	}
 }
 
-// TestScalarMultMatchesOracle checks the constant-time ladder against the
+// TestScalarMultMatchesOracle checks the windowed ScalarMult against the
 // math/big oracle on both primes, including the scalars whose reduction
 // or top nibbles are special: 0, 1, 15, 16, N−1, N, N+1, negatives and
 // values wider than 256 bits.

@@ -29,7 +29,7 @@ const (
 	// StrategyPippenger uses the bucket method with signed-scalar recoding.
 	StrategyPippenger
 	// StrategyParallel is Pippenger with the window bucket sums computed
-	// concurrently by up to Curve.SetParallelism workers.
+	// concurrently by up to GOMAXPROCS workers.
 	StrategyParallel
 	// StrategyPrecomputed uses fixed-base window tables. Through
 	// MultiScalarMult the tables are built ad hoc (useful for differential
@@ -60,9 +60,8 @@ func (s MultiExpStrategy) String() string {
 
 // autoStrategy resolves StrategyAuto for an input of n points: tiny
 // inputs skip shared-table setup, mid-size inputs use windowed sharing,
-// and large inputs use Pippenger — parallelized across windows when the
-// curve's parallelism allows it. None of them is the constant-time
-// ScalarMult: multiexp scalars are public.
+// and large inputs use Pippenger — parallelized across windows when more
+// than one worker is available.
 func (c *Curve) autoStrategy(n int) MultiExpStrategy {
 	switch {
 	case n < 4:

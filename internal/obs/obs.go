@@ -1,8 +1,8 @@
 // Package obs is the repo's observability substrate: a concurrent metrics
-// registry (counters, gauges, fixed-bucket histograms), a bounded event
-// ring, and HTTP introspection handlers. It is stdlib-only and imports
-// nothing else from this module, so every layer — storage, netsim,
-// transport, protocol core, commands — can depend on it.
+// registry (counters, gauges, fixed-bucket histograms), spans and their
+// critical-path analysis, and HTTP introspection handlers. It is
+// stdlib-only and imports nothing else from this module, so every layer —
+// storage, netsim, transport, protocol core, commands — can depend on it.
 //
 // The paper's contribution is quantitative (iteration latency, bytes moved
 // per aggregation, merge-and-download savings, §V), so the registry is the

@@ -31,11 +31,17 @@ func benchParams(b *testing.B, n int) (*Params, []*big.Int) {
 
 // BenchmarkCommit compares the sequential baseline (Pippenger), the
 // precomputed fixed-base tables, and auto routing at the widths a
-// partition commit actually sees.
+// partition commit actually sees: train-mlp's 49 elements, the table
+// band's edge and a wide commit. Past the band StrategyPrecomputed would
+// build throwaway tables on every call, so it runs only inside it.
 func BenchmarkCommit(b *testing.B) {
-	for _, n := range []int{64, 512} {
+	for _, n := range []int{49, commitFixedMax, 512} {
 		p, v := benchParams(b, n)
-		for _, s := range []group.MultiExpStrategy{group.StrategyPippenger, group.StrategyPrecomputed, group.StrategyAuto} {
+		strategies := []group.MultiExpStrategy{group.StrategyPippenger, group.StrategyPrecomputed, group.StrategyAuto}
+		if n > commitFixedMax {
+			strategies = []group.MultiExpStrategy{group.StrategyPippenger, group.StrategyAuto}
+		}
+		for _, s := range strategies {
 			b.Run(fmt.Sprintf("%s/n=%d", s, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := p.CommitWith(v, s); err != nil {

@@ -26,9 +26,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.js
 const goldenPath = "testdata/golden.json"
 
 type goldenCurve struct {
-	HashToPoint  []goldenHash   `json:"hash_to_point"`
-	Commit       []goldenCommit `json:"commit"`
-	CommitHiding goldenHiding   `json:"commit_hiding"`
+	HashToPoint []goldenHash   `json:"hash_to_point"`
+	Commit      []goldenCommit `json:"commit"`
 }
 
 type goldenHash struct {
@@ -40,12 +39,6 @@ type goldenHash struct {
 type goldenCommit struct {
 	Name string `json:"name"`
 	Enc  string `json:"enc"`
-}
-
-type goldenHiding struct {
-	N        int    `json:"n"`
-	Blinding string `json:"blinding"`
-	Enc      string `json:"enc"`
 }
 
 var goldenHashIndices = []int{0, 1, 2, 7, 512}
@@ -90,13 +83,6 @@ func goldenVectors(c *group.Curve) ([]string, map[string][]*big.Int) {
 	return names, vecs
 }
 
-// goldenBlinding is the fixed blinding factor of the recorded hiding
-// commitment.
-func goldenBlinding(c *group.Curve) *big.Int {
-	h := new(big.Int).SetBytes([]byte("ipls golden hiding blinding factor"))
-	return h.Mod(h, c.N)
-}
-
 func goldenCurves() []*group.Curve {
 	return []*group.Curve{group.Secp256k1(), group.Secp256r1(), group.Secp256r1Fast()}
 }
@@ -122,19 +108,12 @@ func computeGolden(t *testing.T, c *group.Curve) goldenCurve {
 		}
 		g.Commit = append(g.Commit, goldenCommit{Name: name, Enc: hex.EncodeToString(com)})
 	}
-	r := goldenBlinding(c)
-	hv := vecs["small/n=49"]
-	com, err := p.CommitHiding(hv, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.CommitHiding = goldenHiding{N: len(hv), Blinding: r.Text(16), Enc: hex.EncodeToString(com)}
 	return g
 }
 
-// TestGoldenVectors asserts that generators, commitments and the hiding
-// commitment are byte-identical to the recorded encodings on every curve
-// name, and that every explicit multiexp strategy reproduces them.
+// TestGoldenVectors asserts that generators and commitments are
+// byte-identical to the recorded encodings on every curve name, and that
+// every explicit multiexp strategy reproduces them.
 func TestGoldenVectors(t *testing.T) {
 	if *updateGolden {
 		out := map[string]goldenCurve{}
@@ -176,9 +155,6 @@ func TestGoldenVectors(t *testing.T) {
 			if got.Commit[i] != com {
 				t.Errorf("%s: Commit(%s) = %s, want %s", c.Name, com.Name, got.Commit[i].Enc, com.Enc)
 			}
-		}
-		if got.CommitHiding != w.CommitHiding {
-			t.Errorf("%s: CommitHiding = %+v, want %+v", c.Name, got.CommitHiding, w.CommitHiding)
 		}
 
 		// Every explicit strategy must land on the same encodings.

@@ -29,15 +29,6 @@ type Commitment []byte
 // canonical, so this coincides with group-element equality.
 func (c Commitment) Equal(other Commitment) bool { return bytes.Equal(c, other) }
 
-// DefaultPrecomputeLimit bounds how many generators get fixed-base window
-// tables. StrategyAuto reads tables only for vectors of at most
-// commitFixedMax elements, so Setup/Extend build min(limit,
-// commitFixedMax) of them (1 KiB each as affine limb points); the limit
-// matters for explicit StrategyPrecomputed requests, which build missing
-// tables on demand. The Fig. 3 sweep extends Params to millions of
-// generators and must not drag table memory along with it.
-const DefaultPrecomputeLimit = 8192
-
 // Params holds the public parameters for committing to vectors of up to
 // Len() elements.
 type Params struct {
@@ -45,18 +36,18 @@ type Params struct {
 	label string
 	field *scalar.Field
 
-	mu       sync.Mutex
-	gens     []group.Point
-	blinding group.Point // lazily derived hiding generator
+	mu   sync.Mutex
+	gens []group.Point
 
-	// fixed holds fixed-base window tables for the generator prefix
-	// gens[:len(fixed)] (built in Setup/Extend for the prefix StrategyAuto
-	// reads — generators never change within a session, so the tables
-	// amortize across every Commit).
+	// fixed holds fixed-base window tables (1 KiB each as affine limb
+	// points) for the generator prefix gens[:min(len(gens),
+	// commitFixedMax)], the prefix the table route reads. Generators never
+	// change within a session, so the tables amortize across every Commit,
+	// and wider Params (the Fig. 3 sweep derives millions of generators)
+	// carry no table memory past the band.
 	// Guarded by mu; entries are immutable once appended, so a Commit
 	// that snapshots the slice under mu may use it lock-free afterwards.
-	fixed        []*group.FixedBase
-	precompLimit int
+	fixed []*group.FixedBase
 }
 
 // Setup deterministically derives public parameters for vectors of length n
@@ -69,10 +60,9 @@ func Setup(curve *group.Curve, n int, label string) (*Params, error) {
 		return nil, fmt.Errorf("pedersen: negative vector length %d", n)
 	}
 	p := &Params{
-		curve:        curve,
-		label:        label,
-		field:        scalar.NewField(curve.N),
-		precompLimit: DefaultPrecomputeLimit,
+		curve: curve,
+		label: label,
+		field: scalar.NewField(curve.N),
 	}
 	if err := p.Extend(n); err != nil {
 		return nil, err
@@ -96,31 +86,8 @@ func (p *Params) Len() int {
 	return len(p.gens)
 }
 
-// SetPrecomputeLimit bounds how many generators carry fixed-base window
-// tables (default DefaultPrecomputeLimit; Setup/Extend never build past
-// commitFixedMax). Raising the limit builds the missing tables immediately
-// for already-derived generators; n ≤ 0 disables precomputation for
-// generators derived from then on. Safe to call concurrently with Commit.
-func (p *Params) SetPrecomputeLimit(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	p.precompLimit = n
-	p.buildTablesLocked(len(p.gens))
-}
-
-// PrecomputedLen returns how many generators currently have fixed-base
-// tables.
-func (p *Params) PrecomputedLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.fixed)
-}
-
-// Extend makes sure at least n generators are available, building their
-// fixed-base tables (up to the precompute limit) at the same time so a
+// Extend makes sure at least n generators are available, building the
+// fixed-base tables of those inside the table band at the same time so a
 // commitment never observes a generator without its table.
 func (p *Params) Extend(n int) error {
 	p.mu.Lock()
@@ -133,18 +100,7 @@ func (p *Params) extendLocked(n int) {
 	for i := len(p.gens); i < n; i++ {
 		p.gens = append(p.gens, p.curve.HashToPoint(p.label, i))
 	}
-	p.buildTablesLocked(n)
-}
-
-// buildTablesLocked grows the fixed-base table prefix to cover min(n,
-// limit, commitFixedMax) generators: the prefix StrategyAuto can read.
-// Wider commits take Pippenger and never touch a table.
-func (p *Params) buildTablesLocked(n int) {
-	n = min(n, p.precompLimit, commitFixedMax)
-	if n > len(p.gens) {
-		n = len(p.gens)
-	}
-	for i := len(p.fixed); i < n; i++ {
+	for i := len(p.fixed); i < min(n, commitFixedMax); i++ {
 		p.fixed = append(p.fixed, p.curve.NewFixedBase(p.gens[i]))
 	}
 }
@@ -157,24 +113,14 @@ func (p *Params) generators(n int) []group.Point {
 	return p.gens[:n]
 }
 
-// fixedPrefix returns fixed-base tables covering the first n generators.
-// When force is set, missing tables are built past the precompute limit
-// (explicit StrategyPrecomputed requests); otherwise it reports false if
-// the prefix is not already covered. The returned slice is safe to read
-// without the lock: entries are immutable and appends never reuse indices.
-func (p *Params) fixedPrefix(n int, force bool) ([]*group.FixedBase, bool) {
+// fixedPrefix returns the fixed-base tables of the first n ≤
+// commitFixedMax generators. The returned slice is safe to read without
+// the lock: entries are immutable and appends never reuse indices.
+func (p *Params) fixedPrefix(n int) []*group.FixedBase {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.extendLocked(n)
-	if len(p.fixed) < n {
-		if !force {
-			return nil, false
-		}
-		for i := len(p.fixed); i < n; i++ {
-			p.fixed = append(p.fixed, p.curve.NewFixedBase(p.gens[i]))
-		}
-	}
-	return p.fixed[:n], true
+	return p.fixed[:n]
 }
 
 // Commit commits to the vector v using the automatically selected
@@ -192,10 +138,11 @@ func (p *Params) Commit(v []*big.Int) (Commitment, error) {
 const commitFixedMax = 96
 
 // CommitWith commits to v using an explicit multi-exponentiation strategy.
-// StrategyAuto routes through the precomputed generator tables when they
-// cover the vector (see Setup/Extend and SetPrecomputeLimit) and the
-// vector is short enough for the fixed-base walk to win; longer vectors
-// use the regular multiexp auto-selection, including parallel Pippenger.
+// StrategyAuto and StrategyPrecomputed read the generator tables when the
+// vector fits the table band (at most commitFixedMax elements), where the
+// fixed-base walk wins; longer vectors go to MultiScalarMult, whose auto
+// selection picks (parallel) Pippenger and whose StrategyPrecomputed
+// builds throwaway tables per call.
 func (p *Params) CommitWith(v []*big.Int, strategy group.MultiExpStrategy) (Commitment, error) {
 	if len(v) == 0 {
 		return nil, errors.New("pedersen: cannot commit to an empty vector")
@@ -219,17 +166,12 @@ func (p *Params) CommitWith(v []*big.Int, strategy group.MultiExpStrategy) (Comm
 }
 
 // commitPoint evaluates ∑ vᵢ·hᵢ with the given strategy, routing
-// StrategyAuto through the fixed-base tables when they cover a short
-// vector.
+// StrategyAuto and StrategyPrecomputed through the generator tables when
+// the vector fits the table band.
 func (p *Params) commitPoint(v []*big.Int, strategy group.MultiExpStrategy) (group.Point, error) {
-	switch {
-	case strategy == group.StrategyPrecomputed:
-		bases, _ := p.fixedPrefix(len(v), true)
-		return p.curve.MultiScalarMultFixed(bases, v)
-	case strategy == group.StrategyAuto && len(v) <= commitFixedMax:
-		if bases, ok := p.fixedPrefix(len(v), false); ok {
-			return p.curve.MultiScalarMultFixed(bases, v)
-		}
+	tableRoute := strategy == group.StrategyAuto || strategy == group.StrategyPrecomputed
+	if tableRoute && len(v) <= commitFixedMax {
+		return p.curve.MultiScalarMultFixed(p.fixedPrefix(len(v)), v)
 	}
 	return p.curve.MultiScalarMult(p.generators(len(v)), v, strategy)
 }

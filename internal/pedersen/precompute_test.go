@@ -38,55 +38,55 @@ func TestPrecomputedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPrecomputeLimit pins the table-budget behavior: generators beyond
-// the limit stay table-less (the Fig. 3 sweep must not drag gigabytes of
-// tables behind its 10M-generator Params), commits past the covered
-// prefix still verify, and raising the limit backfills.
+// tableCount reports how many generators carry fixed-base tables.
+func tableCount(p *Params) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.fixed)
+}
+
+// TestPrecomputeLimit pins the table budget: Setup and Extend build
+// exactly min(n, commitFixedMax) tables, so the Fig. 3 sweep's
+// million-generator Params drag no table memory past the band, and a
+// commit wider than the band still verifies.
 func TestPrecomputeLimit(t *testing.T) {
 	p, err := Setup(group.Secp256k1(), 4, "limit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.PrecomputedLen(); got != 4 {
+	if got := tableCount(p); got != 4 {
 		t.Fatalf("expected 4 precomputed tables after Setup, got %d", got)
 	}
-	p.SetPrecomputeLimit(6)
-	if err := p.Extend(10); err != nil {
+	if err := p.Extend(commitFixedMax + 10); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.PrecomputedLen(); got != 6 {
-		t.Fatalf("expected tables capped at 6, got %d", got)
+	if got := tableCount(p); got != commitFixedMax {
+		t.Fatalf("expected tables capped at %d, got %d", commitFixedMax, got)
 	}
 
-	// A commit wider than the covered prefix must fall back and verify.
 	q, _ := scalar.NewQuantizer(p.Field(), scalar.DefaultShift)
 	rng := rand.New(rand.NewSource(42))
-	v := randomVector(rng, q, 10)
+	v := randomVector(rng, q, commitFixedMax+10)
 	c, err := p.Commit(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := p.Verify(v, c); err != nil || !ok {
-		t.Fatalf("fallback commit failed verification: ok=%v err=%v", ok, err)
-	}
-
-	p.SetPrecomputeLimit(DefaultPrecomputeLimit)
-	if got := p.PrecomputedLen(); got != 10 {
-		t.Fatalf("raising the limit should backfill to 10 tables, got %d", got)
+		t.Fatalf("commit past the table band failed verification: ok=%v err=%v", ok, err)
 	}
 }
 
 // TestSetupTablesCoverAutoPrefix: Setup builds tables only for the
 // generator prefix StrategyAuto reads (commitFixedMax), on every curve
-// name; wider commits never touch a table, and an explicit
-// StrategyPrecomputed request still builds the missing ones on demand.
+// name; an explicit StrategyPrecomputed request past the band builds
+// throwaway tables in MultiScalarMult and leaves the Params' set alone.
 func TestSetupTablesCoverAutoPrefix(t *testing.T) {
 	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1(), group.Secp256r1Fast()} {
 		p, err := Setup(curve, 2*commitFixedMax, "prefix")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.PrecomputedLen(); got != commitFixedMax {
+		if got := tableCount(p); got != commitFixedMax {
 			t.Fatalf("%s: Setup built %d tables, want %d", curve.Name, got, commitFixedMax)
 		}
 		q, _ := scalar.NewQuantizer(p.Field(), scalar.DefaultShift)
@@ -100,10 +100,10 @@ func TestSetupTablesCoverAutoPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("%s: on-demand tables produced a different commitment", curve.Name)
+			t.Fatalf("%s: ad-hoc tables produced a different commitment", curve.Name)
 		}
-		if got := p.PrecomputedLen(); got != commitFixedMax+4 {
-			t.Fatalf("%s: StrategyPrecomputed left %d tables, want %d", curve.Name, got, commitFixedMax+4)
+		if got := tableCount(p); got != commitFixedMax {
+			t.Fatalf("%s: StrategyPrecomputed left %d tables, want %d", curve.Name, got, commitFixedMax)
 		}
 	}
 }

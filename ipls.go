@@ -1,12 +1,8 @@
 package ipls
 
 import (
-	"ipls/internal/baseline"
 	"ipls/internal/core"
-	"ipls/internal/deals"
 	"ipls/internal/directory"
-	"ipls/internal/distdir"
-	"ipls/internal/gossip"
 	"ipls/internal/group"
 	"ipls/internal/identity"
 	"ipls/internal/ml"
@@ -234,29 +230,6 @@ func OpenDurableStack(cfg *Config, opts DurableOptions) (*DurableStack, error) {
 // DirectoryService is the in-process directory service.
 type DirectoryService = directory.Service
 
-// ShardedDirectory spreads the directory maps across shards (§VI).
-type ShardedDirectory = distdir.Sharded
-
-// NewShardedDirectory creates a partition-sharded directory.
-func NewShardedDirectory(taskID string, shards int, cfg *Config, fetcher directory.BlockFetcher) (*ShardedDirectory, error) {
-	params, err := cfg.PedersenParams()
-	if err != nil {
-		return nil, err
-	}
-	s, err := distdir.New(taskID, shards, params, fetcher)
-	if err != nil {
-		return nil, err
-	}
-	for p := 0; p < cfg.Spec.Partitions; p++ {
-		for _, agg := range cfg.Aggregators[p] {
-			for _, tr := range cfg.TrainersOf(p, agg) {
-				s.SetAssignment(p, tr, agg)
-			}
-		}
-	}
-	return s, nil
-}
-
 // Record is a directory record (addr → CID).
 type Record = directory.Record
 
@@ -415,42 +388,3 @@ func AnalyticAggregationDelay(partitionBytes int64, trainersPerAgg, providers in
 func OptimalProviders(trainersPerAgg int, dMbps, bMbps float64) float64 {
 	return core.OptimalProviders(trainersPerAgg, dMbps, bMbps)
 }
-
-// GossipConfig parameterizes the purely-decentralized baseline; GossipRun
-// executes it.
-type GossipConfig = gossip.Config
-
-// GossipRun executes gossip learning for comparison with the protocol.
-func GossipRun(m Model, locals []*Dataset, eval *Dataset, initial []float64, cfg GossipConfig) (*gossip.Result, error) {
-	return gossip.Run(m, locals, eval, initial, cfg)
-}
-
-// BCFLConfig and IPLSConfig parameterize the blockchain-baseline cost
-// comparison; BCFLCosts and IPLSCosts evaluate it.
-type (
-	BCFLConfig = baseline.BCFLConfig
-	IPLSConfig = baseline.IPLSConfig
-)
-
-// Cost-model entry points for the blockchain baseline comparison.
-var (
-	BCFLCosts = baseline.BCFLCosts
-	IPLSCosts = baseline.IPLSCosts
-	BCFLDelay = baseline.BCFLDelay
-)
-
-// StorageMarket is the Filecoin-style deal market (§VI availability);
-// DealsConfig sets its economic parameters.
-type (
-	StorageMarket = deals.Market
-	DealsConfig   = deals.Config
-)
-
-// NewStorageMarket creates a deal market over a storage backend.
-func NewStorageMarket(store deals.Retriever, cfg DealsConfig, seed int64) (*StorageMarket, error) {
-	return deals.NewMarket(store, cfg, seed)
-}
-
-// MarketClient is the account name of the task launcher in the deal
-// market.
-const MarketClient = deals.Client
